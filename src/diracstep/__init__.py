@@ -43,12 +43,14 @@ from .scattering import (
     ScatteringResult,
     SingularConfigurationError,
     SweepRow,
+    SweepTable,
     amplitudes,
     classify_regime,
     coefficients,
     incident_factor,
     sweep,
     sweep_to_csv,
+    sweep_to_json,
     transmitted_factor,
 )
 from .svgplot import PlotSpec, render_svg
@@ -72,12 +74,14 @@ __all__ = [
     "ScatteringResult",
     "SingularConfigurationError",
     "SweepRow",
+    "SweepTable",
     "amplitudes",
     "classify_regime",
     "coefficients",
     "incident_factor",
     "sweep",
     "sweep_to_csv",
+    "sweep_to_json",
     "transmitted_factor",
     "Grid",
     "ObservableRecord",

@@ -208,22 +208,6 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     return axis, float(start), float(stop), int(steps)
 
 
-def _row_to_dict(row: scattering.SweepRow) -> dict[str, Any]:
-    base: dict[str, Any] = {
-        "E": row.E, "V0": row.V0, "m0": row.m0, "coupling": row.coupling.value,
-    }
-    if row.result is None:
-        base["error"] = row.error
-        return base
-    res = row.result
-    base.update(
-        a=res.a, re_b=res.b.real, im_b=res.b.imag,
-        re_R=res.R.real, im_R=res.R.imag, re_T=res.T.real, im_T=res.T.imag,
-        r=res.r, t=res.t, regime=res.regime.value,
-    )
-    return base
-
-
 def run_scatter(config: RunConfig) -> int:
     p = config.parameters
     if p["E"] is None:
@@ -242,33 +226,24 @@ def run_scatter(config: RunConfig) -> int:
             f"r={_g(res.r)} t={_g(res.t)} regime={res.regime.value}"
         )
         if config.output_path is not None:
-            rows = [scattering.query_result_row(q, res)]
-            if config.format == "csv":
-                buf = io.StringIO()
-                scattering.sweep_to_csv(rows, buf)
-                _emit(buf.getvalue(), config.output_path)
-            elif config.format == "json":
-                _emit(json.dumps(_row_to_dict(rows[0]), indent=2, sort_keys=True) + "\n",
-                      config.output_path)
-            else:
+            if config.format not in ("csv", "json"):
                 raise ValueError("svg output needs a sweep (a single point is not a curve)")
+            _emit_table(scattering.SweepTable(E, V0, m0, coupling), config.format,
+                        config.output_path, single=True)
         return 0
 
     axis, start, stop, steps = _parse_sweep(p["sweep"])
     base = _sweep_base(E, V0, m0, coupling, axis)
-    rows = scattering.sweep(base, axis, start, stop, steps)
+    table = scattering.sweep(base, axis, start, stop, steps)
 
-    if config.format == "csv":
-        buf = io.StringIO()
-        scattering.sweep_to_csv(rows, buf)
-        _emit(buf.getvalue(), config.output_path)
-    elif config.format == "json":
-        _emit(json.dumps([_row_to_dict(r) for r in rows], indent=2, sort_keys=True) + "\n",
-              config.output_path)
+    if config.format in ("csv", "json"):
+        _emit_table(table, config.format, config.output_path)
     else:
+        ok = ~table.error
         plot_rows = [
-            {axis: getattr(row, axis), "r": row.result.r, "t": row.result.t}
-            for row in rows if row.result is not None
+            {axis: x, "r": r, "t": t}
+            for x, r, t in zip(getattr(table, axis)[ok].tolist(),
+                               table.values["r"][ok].tolist(), table.values["t"][ok].tolist())
         ]
         vlines: tuple[tuple[float, str], ...] = ()
         if coupling is Coupling.VECTOR:
@@ -283,6 +258,16 @@ def run_scatter(config: RunConfig) -> int:
         )
         _emit(svgplot.render_svg(plot_rows, spec), config.output_path)
     return 0
+
+
+def _emit_table(table: scattering.SweepTable, fmt: str, path: str | None,
+                single: bool = False) -> None:
+    buf = io.StringIO()
+    if fmt == "csv":
+        scattering.sweep_to_csv(table, buf)
+    else:
+        scattering.sweep_to_json(table, buf, single=single)
+    _emit(buf.getvalue(), path)
 
 
 def _sweep_base(E: float, V0: float, m0: float, coupling: Coupling, axis: str) -> ScatteringQuery:

@@ -39,11 +39,13 @@ the Klein zone does not exist there.
 
 from __future__ import annotations
 
-import dataclasses
+import json
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -78,6 +80,11 @@ class Regime(str, Enum):
     KLEIN_ZONE = "klein_zone"
 
 
+_NO_CLOSED_FORM = (
+    "pseudoscalar coupling has no closed-form step solution; use the dynamics module"
+)
+
+
 class SingularConfigurationError(ValueError):
     """Raised at isolated degenerate parameter points (0/0 kinematics)."""
 
@@ -87,7 +94,7 @@ class ScatteringQuery:
     """One plane-wave scattering problem.
 
     The incident wave must propagate, so E > m0 > 0 is required.  V0 may
-    have either sign.
+    have either sign.  All three must be finite.
     """
 
     E: float
@@ -97,6 +104,10 @@ class ScatteringQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "coupling", Coupling(self.coupling))
+        if not (math.isfinite(self.E) and math.isfinite(self.V0) and math.isfinite(self.m0)):
+            raise ValueError(
+                f"E, V0 and m0 must be finite, got E={self.E}, V0={self.V0}, m0={self.m0}"
+            )
         if not self.m0 > 0:
             raise ValueError(f"m0 must be positive, got {self.m0}")
         if not self.E > self.m0:
@@ -171,10 +182,7 @@ def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> co
         return _step_factor(E - V0, m0)
     if coupling is Coupling.SCALAR:
         return _step_factor(E, m0 + V0)
-    raise ValueError(
-        "pseudoscalar coupling has no closed-form step solution; "
-        "use the dynamics module"
-    )
+    raise ValueError(_NO_CLOSED_FORM)
 
 
 def coefficients(a: float, b: complex, R: complex, T: complex) -> tuple[float, float]:
@@ -224,10 +232,7 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     isolated degenerate points where a + b = 0 or b is a 0/0 limit.
     """
     if q.coupling is Coupling.PSEUDOSCALAR:
-        raise ValueError(
-            "pseudoscalar coupling has no closed-form step solution; "
-            "use the dynamics module"
-        )
+        raise ValueError(_NO_CLOSED_FORM)
     a = incident_factor(q.E, q.m0)
     b = transmitted_factor(q.E, q.V0, q.m0, q.coupling)
     if a + b == 0:
@@ -257,62 +262,211 @@ class SweepRow:
     error: str | None = None
 
 
+_REGIMES = (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE)
+VALUE_COLUMNS = ("a", "re_b", "im_b", "re_R", "im_R", "re_T", "im_T", "r", "t")
+# Rows a SweepTable iterator converts to Python objects at once, which
+# bounds the memory of one pass over a long sweep.
+_ROW_CHUNK = 4096
+
+
+def _quotient(ar, ai, br, bi):
+    """Elementwise (ar + i ai) / (br + i bi) in CPython's complex arithmetic.
+
+    numpy's complex division rounds differently from Python's in the last
+    bit, so this repeats CPython's Smith division (_Py_c_quot) branch for
+    branch in real arithmetic; every quotient is then bitwise the one the
+    scalar path computes.
+    """
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+class SweepTable(Sequence[SweepRow]):
+    """Closed-form results over a set of points, one numpy array per column.
+
+    The constructor evaluates the whole closed form at once: E, V0 and m0
+    are broadcast to one 1-D grid, and ``values`` maps each of
+    VALUE_COLUMNS to a float64 array that is bitwise what amplitudes()
+    returns at that point.  ``regime`` indexes (transmission, evanescent,
+    klein_zone); ``error`` marks the points amplitudes() refuses (non-finite
+    input, E <= m0, the 0/0 point omega + mass = 0, a + b = 0), whose value
+    columns are meaningless.
+
+    The table is also a sequence of SweepRow, in grid order.  Rows are
+    built on each access and never kept, and an error row's message is
+    built only then.
+    """
+
+    def __init__(self, E, V0, m0, coupling: Coupling):
+        self.coupling = Coupling(coupling)
+        if self.coupling is Coupling.PSEUDOSCALAR:
+            raise ValueError(_NO_CLOSED_FORM)
+        E, V0, m0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                          for x in (E, V0, m0)))
+        self.E, self.V0, self.m0 = E, V0, m0
+        with np.errstate(all="ignore"):
+            if self.coupling is Coupling.VECTOR:
+                omega, mass = E - V0, m0
+            else:
+                omega, mass = E, m0 + V0
+            radicand = omega * omega - mass * mass
+            denominator = omega + mass
+            propagating = radicand >= 0.0
+            a = np.sqrt(E * E - m0 * m0) / (E + m0)
+            re_b = np.where(propagating, np.sqrt(radicand) / denominator, 0.0)
+            im_b = np.where(propagating, 0.0, np.sqrt(-radicand) / denominator)
+            # Python's float-complex arithmetic: a - b = (a - re_b, 0.0 - im_b)
+            # and a + b = (a + re_b, 0.0 + im_b); "0.0 -" keeps the signed zeros.
+            re_sum, im_sum = a + re_b, 0.0 + im_b
+            re_R, im_R = _quotient(a - re_b, 0.0 - im_b, re_sum, im_sum)
+            re_T, im_T = _quotient(2 * a, 0.0, re_sum, im_sum)
+            r = re_R * re_R + im_R * im_R
+            t = (re_b / a) * (re_T * re_T + im_T * im_T)
+            valid = (np.isfinite(E) & np.isfinite(V0) & np.isfinite(m0)
+                     & (m0 > 0.0) & (E > m0) & (denominator != 0.0) & (a > 0.0)
+                     & ((re_sum != 0.0) | (im_sum != 0.0)))
+        self.values = dict(zip(VALUE_COLUMNS, (a, re_b, im_b, re_R, im_R, re_T, im_T, r, t)))
+        self.regime = np.where(radicand > 0.0, np.where(denominator > 0.0, 0, 2), 1)
+        self.error = ~valid
+
+    def __len__(self) -> int:
+        return len(self.E)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"row {index} out of range for {len(self)} rows")
+        return self._row(i % len(self))
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        columns = self._columns()
+        for start in range(0, len(self), _ROW_CHUNK):
+            chunk = [column[start:start + _ROW_CHUNK].tolist() for column in columns]
+            yield from map(self._make_row, *chunk)
+
+    def _columns(self) -> list[np.ndarray]:
+        return [self.E, self.V0, self.m0, self.error, self.regime, *self.values.values()]
+
+    def _row(self, i: int) -> SweepRow:
+        return self._make_row(*(column.item(i) for column in self._columns()))
+
+    def _make_row(self, E, V0, m0, error, regime, a, re_b, im_b, re_R, im_R, re_T, im_T,
+                  r, t) -> SweepRow:
+        if error:
+            return SweepRow(E, V0, m0, self.coupling, error=self._error_message(E, V0, m0))
+        result = ScatteringResult(
+            a=a, b=complex(re_b, im_b), R=complex(re_R, im_R), T=complex(re_T, im_T),
+            r=r, t=t, regime=_REGIMES[regime],
+        )
+        return SweepRow(E, V0, m0, self.coupling, result=result)
+
+    def _error_message(self, E: float, V0: float, m0: float) -> str:
+        # The scalar path's own refusal, so the message is exactly its text.
+        try:
+            amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling=self.coupling))
+        except ValueError as exc:
+            return str(exc)
+        raise RuntimeError(
+            f"array kernel refused E={E}, V0={V0}, m0={m0} but amplitudes() solves it"
+        )
+
+
 SWEEP_AXES = ("E", "V0", "m0")
 
 
 def sweep(
     base: ScatteringQuery, axis: str, start: float, stop: float, steps: int
-) -> list[SweepRow]:
-    """Evaluate amplitudes() along a uniform inclusive grid of one axis."""
+) -> SweepTable:
+    """Evaluate the closed form along a uniform inclusive grid of one axis.
+
+    Invalid or degenerate grid points stay in the table as error rows.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep bounds must be finite, got {start} .. {stop}")
     if not start < stop:
         raise ValueError(f"need start < stop, got {start} .. {stop}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     if base.coupling is Coupling.PSEUDOSCALAR:
         raise ValueError("pseudoscalar coupling cannot be swept in closed form")
-    rows = []
-    for value in np.linspace(start, stop, steps):
-        params = {"E": base.E, "V0": base.V0, "m0": base.m0}
-        params[axis] = float(value)
-        try:
-            q = ScatteringQuery(coupling=base.coupling, **params)
-            rows.append(SweepRow(**params, coupling=base.coupling, result=amplitudes(q)))
-        except ValueError as exc:  # includes SingularConfigurationError
-            rows.append(SweepRow(**params, coupling=base.coupling, error=str(exc)))
-    return rows
+    grid = {"E": base.E, "V0": base.V0, "m0": base.m0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a span past the float range gives NaN/inf grid values: error rows
+        grid[axis] = np.linspace(start, stop, steps)
+    return SweepTable(coupling=base.coupling, **grid)
 
 
 CSV_HEADER = "E,V0,m0,coupling,a,re_b,im_b,re_R,im_R,re_T,im_T,r,t,regime"
+_REGIME_NAMES = np.array([regime.value for regime in _REGIMES], dtype=object)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: exact round trip for IEEE doubles.
-    return format(x, ".17g")
+def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
+    """Write a table in the documented CSV schema.
 
-
-def result_to_csv_row(row: SweepRow) -> str:
-    head = f"{_fmt(row.E)},{_fmt(row.V0)},{_fmt(row.m0)},{row.coupling.value}"
-    res = row.result
-    if res is None:
-        return head + "," * 9 + ",error"
-    fields = (res.a, res.b.real, res.b.imag, res.R.real, res.R.imag,
-              res.T.real, res.T.imag, res.r, res.t)
-    return head + "," + ",".join(_fmt(v) for v in fields) + "," + res.regime.value
-
-
-def sweep_to_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
-    """Write sweep rows in the documented CSV schema.
-
-    Error rows keep their grid coordinates, leave the numeric fields
-    empty, and carry "error" in the regime column.
+    Floats carry 17 significant digits, an exact round trip for IEEE
+    doubles.  Error rows keep their grid coordinates, leave the numeric
+    fields empty, and carry "error" in the regime column.
     """
-    stream.write(CSV_HEADER + "\n")
-    for row in rows:
-        stream.write(result_to_csv_row(row) + "\n")
+    head = f"%.17g,%.17g,%.17g,{table.coupling.value},"
+    line = head + "%.17g," * len(VALUE_COLUMNS) + "%s\n"
+    error_line = head + "," * len(VALUE_COLUMNS) + "error\n"
+    columns = [column.tolist() for column in
+               (table.E, table.V0, table.m0, *table.values.values())]
+    lines = list(map(line.__mod__, zip(*columns, _REGIME_NAMES[table.regime].tolist())))
+    for i in np.flatnonzero(table.error).tolist():
+        lines[i] = error_line % (columns[0][i], columns[1][i], columns[2][i])
+    stream.write(CSV_HEADER + "\n" + "".join(lines))
 
 
-def query_result_row(q: ScatteringQuery, res: ScatteringResult) -> SweepRow:
-    """Package a single solved query in sweep-row form (for CSV output)."""
-    return SweepRow(E=q.E, V0=q.V0, m0=q.m0, coupling=q.coupling, result=res)
+def _json_object(fields: dict[str, str], pad: str) -> str:
+    """An object laid out as json.dumps(..., indent=2, sort_keys=True) lays
+    it out at indentation `pad`; `fields` maps each key to its JSON text."""
+    inner = pad + "  "
+    body = ",\n".join(f"{inner}{json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    return f"{pad}{{\n{body}\n{pad}}}"
+
+
+def _json_numbers(column: np.ndarray, written=slice(None)) -> list:
+    # str(float) is the json module's text for finite floats; NaN and the
+    # infinities need its own spelling.  Only the `written` cells matter.
+    if np.isfinite(column[written]).all():
+        return column.tolist()
+    return [json.dumps(value) for value in column.tolist()]
+
+
+def sweep_to_json(table: SweepTable, stream: IO[str], *, single: bool = False) -> None:
+    """Write a table as json.dumps(rows, indent=2, sort_keys=True) writes it.
+
+    Each row is an object keyed by the CSV column names; an error row holds
+    E, V0, m0, coupling and its error message instead of values.  With
+    single=True the table's one row is written as a bare object.
+    """
+    pad = "" if single else "  "
+    coupling = json.dumps(table.coupling.value)
+    coordinates = {"E": table.E, "V0": table.V0, "m0": table.m0}
+    texts = {name: _json_numbers(column) for name, column in coordinates.items()}
+    texts.update((name, _json_numbers(column, ~table.error))
+                 for name, column in table.values.items())
+    texts["regime"] = _REGIME_NAMES[table.regime].tolist()
+    slots = sorted(texts)
+    # regime names need no JSON escaping, so their quotes sit in the template
+    template = _json_object(
+        {**dict.fromkeys(slots, "%s"), "regime": '"%s"', "coupling": coupling}, pad)
+    objects = list(map(template.__mod__, zip(*(texts[name] for name in slots))))
+    for i in np.flatnonzero(table.error).tolist():
+        fields = {name: str(texts[name][i]) for name in ("E", "V0", "m0")}
+        objects[i] = _json_object(
+            {**fields, "coupling": coupling, "error": json.dumps(table[i].error)}, pad)
+    if single:
+        (text,) = objects
+    else:
+        text = "[\n" + ",\n".join(objects) + "\n]"
+    stream.write(text + "\n")

@@ -8,7 +8,7 @@ import pytest
 
 from diracstep.cli import main
 from diracstep.dynamics import OBSERVABLES_CSV_HEADER, SNAPSHOT_CSV_HEADER
-from diracstep.scattering import CSV_HEADER
+from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
 
 
 def _regime_counts(csv_text: str) -> dict[str, int]:
@@ -57,6 +57,38 @@ class TestScatterSingle:
         assert data["regime"] == "klein_zone"
         assert abs(data["r"] - 2.25) <= 1e-14
         assert abs(data["t"] + 1.25) <= 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ["--E", "1.5", "--V0", "nan"],
+        ["--E", "1.5", "--V0", "inf"],
+        ["--E", "inf"],
+        ["--E", "1.5", "--sweep", "V0:0:inf:5"],
+    ])
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(["scatter"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+    def test_file_writers_hold_the_printed_point(self, tmp_path, capsys):
+        """Both file formats of a single query carry amplitudes() exactly."""
+        res = amplitudes(ScatteringQuery(E=1.5, V0=3.0, m0=1.0))
+        csv_path, json_path = tmp_path / "one.csv", tmp_path / "one.json"
+        assert main(["scatter", "--E", "1.5", "--V0", "3", "--output", str(csv_path)]) == 0
+        assert main(["scatter", "--E", "1.5", "--V0", "3", "--output", str(json_path),
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        values = (res.a, res.b.real, res.b.imag, res.R.real, res.R.imag,
+                  res.T.real, res.T.imag, res.r, res.t)
+        row = ",".join(["1.5", "3", "1", "vector"] + [format(v, ".17g") for v in values]
+                       + ["klein_zone"])
+        assert csv_path.read_text() == CSV_HEADER + "\n" + row + "\n"
+        expected = {"E": 1.5, "V0": 3.0, "m0": 1.0, "coupling": "vector",
+                    "a": res.a, "re_b": res.b.real, "im_b": res.b.imag,
+                    "re_R": res.R.real, "im_R": res.R.imag,
+                    "re_T": res.T.real, "im_T": res.T.imag,
+                    "r": res.r, "t": res.t, "regime": "klein_zone"}
+        assert json_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_svg_without_sweep_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.svg"

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diracstep.scattering import (
     CSV_HEADER,
@@ -14,6 +17,7 @@ from diracstep.scattering import (
     Regime,
     ScatteringQuery,
     SingularConfigurationError,
+    SweepTable,
     _step_factor,
     amplitudes,
     classify_regime,
@@ -21,6 +25,7 @@ from diracstep.scattering import (
     incident_factor,
     sweep,
     sweep_to_csv,
+    sweep_to_json,
     transmitted_factor,
 )
 
@@ -138,6 +143,13 @@ class TestQueryValidation:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError, match="m0"):
             ScatteringQuery(E=1.0, V0=0.0, m0=-1.0)
+
+    @pytest.mark.parametrize("field", ["E", "V0", "m0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        params = {"E": 1.5, "V0": 0.5, "m0": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            ScatteringQuery(**params)
 
 
 class TestAmplitudes:
@@ -293,6 +305,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(base, "T", 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("start,stop", [(0.0, math.inf), (-math.inf, 1.0),
+                                            (math.nan, 1.0), (0.0, math.nan)])
+    def test_rejects_non_finite_bounds(self, start, stop):
+        base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            sweep(base, "V0", start, stop, 5)
+
+    def test_non_finite_grid_points_become_error_rows(self):
+        """Finite bounds whose span overflows give NaN/inf grid values."""
+        base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
+        rows = sweep(base, "V0", -1e308, 1e308, 5)
+        assert [math.isfinite(row.V0) for row in rows] == [False] * 4 + [True]
+        assert all("must be finite" in row.error for row in rows[:4])
+
     def test_csv_round_trips_at_17_digits(self):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
         rows = sweep(base, "V0", 0.0, 4.0, 9)
@@ -321,3 +347,144 @@ class TestSweep:
         sweep_to_csv(rows, buf)
         error_line = buf.getvalue().splitlines()[2]
         assert error_line.endswith(",error")
+
+
+def _hex_fields(res):
+    """Every float of a result by float.hex, so the sign of zero counts."""
+    floats = (res.a, res.b.real, res.b.imag, res.R.real, res.R.imag,
+              res.T.real, res.T.imag, res.r, res.t)
+    return tuple(float.hex(x) for x in floats) + (res.regime,)
+
+
+def _assert_row_is_scalar_path(row):
+    """A table row equals amplitudes() at its point, bit for bit, or carries
+    exactly the message amplitudes() refuses the point with."""
+    try:
+        expected = amplitudes(ScatteringQuery(E=row.E, V0=row.V0, m0=row.m0,
+                                              coupling=row.coupling))
+    except ValueError as exc:
+        assert row.result is None and row.error == str(exc), (row, exc)
+        return
+    assert row.error is None, row
+    assert _hex_fields(row.result) == _hex_fields(expected), row
+
+
+# Grids on multiples of 1/8, so the thresholds, the 0/0 point and the Klein
+# point (E, V0, m0) = (1.5, 3, 1) fall exactly on grid points.
+CROSS_CHECK_SWEEPS = [
+    # vector V0: transmission threshold 0.5, 0/0 at 2.5, Klein point at 3
+    ("vector", dict(E=1.5, V0=0.0, m0=1.0), "V0", -4.0, 8.0, 97),
+    # vector E: E <= m0 below threshold, 0/0 at E = 2, Klein point at 1.5,
+    # transmission threshold at E = 4
+    ("vector", dict(E=2.0, V0=3.0, m0=1.0), "E", 0.0, 8.0, 65),
+    # vector m0: m0 <= 0 and m0 >= E refused, Klein point at 1, 0/0 at 1.5
+    ("vector", dict(E=1.5, V0=3.0, m0=1.0), "m0", -1.0, 2.0, 25),
+    ("vector", dict(E=2.0, V0=3.5, m0=1.0), "m0", 0.0, 2.5, 21),
+    # scalar V0: thresholds at V0 = 0.5 and -2.5, 0/0 at -2.5
+    ("scalar", dict(E=1.5, V0=0.0, m0=1.0), "V0", -4.0, 4.0, 65),
+    # scalar E: below threshold up to 1, transmission threshold at 1.5
+    ("scalar", dict(E=2.0, V0=0.5, m0=1.0), "E", 0.0, 4.0, 33),
+    # scalar m0: m0 <= 0 and m0 >= E refused; the threshold E = |m0 + V0|
+    # and the 0/0 point coincide at m0 = 0.5
+    ("scalar", dict(E=1.5, V0=-2.0, m0=1.0), "m0", 0.0, 2.0, 17),
+]
+
+
+class TestSweepMatchesScalarPath:
+    @pytest.mark.parametrize("coupling,base,axis,start,stop,steps", CROSS_CHECK_SWEEPS)
+    def test_every_row_is_bitwise_amplitudes(self, coupling, base, axis, start, stop, steps):
+        rows = sweep(ScatteringQuery(coupling=coupling, **base), axis, start, stop, steps)
+        grid = np.linspace(start, stop, steps)
+        assert len(rows) == steps
+        for i, row in enumerate(rows):
+            expected = dict(base, **{axis: float(grid[i])})
+            assert (row.E, row.V0, row.m0) == (expected["E"], expected["V0"], expected["m0"])
+            assert row == rows[i]
+            _assert_row_is_scalar_path(row)
+
+    @pytest.mark.parametrize("sweep_index,point,expected", [
+        (0, 0.375, Regime.TRANSMISSION), (0, 0.5, Regime.EVANESCENT),
+        (0, 2.5, "degenerate"), (0, 3.0, Regime.KLEIN_ZONE),
+        (1, 1.0, "E > m0"), (1, 1.5, Regime.KLEIN_ZONE), (1, 2.0, "degenerate"),
+        (1, 4.0, Regime.EVANESCENT), (1, 4.125, Regime.TRANSMISSION),
+        (2, 0.0, "m0 must be positive"), (2, 1.0, Regime.KLEIN_ZONE), (2, 1.5, "E > m0"),
+        (3, 1.0, Regime.KLEIN_ZONE), (3, 1.5, "degenerate"), (3, 1.625, Regime.EVANESCENT),
+        (4, -2.5, "degenerate"), (4, 0.0, Regime.TRANSMISSION), (4, 0.5, Regime.EVANESCENT),
+        (5, 1.0, "E > m0"), (5, 1.5, Regime.EVANESCENT), (5, 1.625, Regime.TRANSMISSION),
+        (6, 0.0, "m0 must be positive"), (6, 0.5, "degenerate"), (6, 1.5, "E > m0"),
+    ])
+    def test_sweeps_cross_the_feature_points(self, sweep_index, point, expected):
+        coupling, base, axis, start, stop, steps = CROSS_CHECK_SWEEPS[sweep_index]
+        rows = sweep(ScatteringQuery(coupling=coupling, **base), axis, start, stop, steps)
+        (row,) = [row for row in rows if getattr(row, axis) == point]
+        if isinstance(expected, Regime):
+            assert row.result.regime is expected
+        else:
+            assert expected in row.error
+
+    @given(
+        E=st.floats(allow_nan=False, allow_infinity=False),
+        V0=st.floats(allow_nan=False, allow_infinity=False),
+        m0=st.floats(allow_nan=False, allow_infinity=False),
+        coupling=st.sampled_from(["vector", "scalar"]),
+    )
+    def test_random_finite_point_is_bitwise_amplitudes(self, E, V0, m0, coupling):
+        (row,) = SweepTable(E, V0, m0, coupling)
+        _assert_row_is_scalar_path(row)
+
+    @given(
+        E=st.floats(0.0, 10.0), V0=st.floats(-10.0, 10.0), m0=st.floats(0.0, 3.0),
+        coupling=st.sampled_from(["vector", "scalar"]),
+    )
+    def test_random_physical_point_is_bitwise_amplitudes(self, E, V0, m0, coupling):
+        (row,) = SweepTable(E, V0, m0, coupling)
+        _assert_row_is_scalar_path(row)
+
+
+def _row_dict(row):
+    """The JSON object of one materialised row, built independently of the writer."""
+    out = {"E": row.E, "V0": row.V0, "m0": row.m0, "coupling": row.coupling.value}
+    if row.result is None:
+        out["error"] = row.error
+        return out
+    res = row.result
+    out.update(a=res.a, re_b=res.b.real, im_b=res.b.imag, re_R=res.R.real,
+               im_R=res.R.imag, re_T=res.T.real, im_T=res.T.imag, r=res.r, t=res.t,
+               regime=res.regime.value)
+    return out
+
+
+class TestWriters:
+    @pytest.mark.parametrize("coupling,axis,start,stop,steps", [
+        ("vector", "V0", 2.0, 3.0, 5),       # 0/0 error row at V0 = 2.5
+        ("vector", "E", 0.5, 4.0, 8),        # rows below threshold
+        ("scalar", "V0", -3.0, 1.0, 9),      # 0/0 at V0 = -2.5
+        ("vector", "V0", -1e308, 1e308, 5),  # NaN and inf grid coordinates
+    ])
+    def test_json_is_json_dumps_of_the_rows(self, coupling, axis, start, stop, steps):
+        base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0, coupling=coupling)
+        rows = sweep(base, axis, start, stop, steps)
+        assert any(row.error is not None for row in rows)
+        buf = io.StringIO()
+        sweep_to_json(rows, buf)
+        expected = json.dumps([_row_dict(row) for row in rows], indent=2, sort_keys=True)
+        assert buf.getvalue() == expected + "\n"
+
+    def test_csv_fields_are_17_digit_formats_of_the_rows(self):
+        base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
+        rows = sweep(base, "V0", -1.0, 4.0, 41)  # 0/0 error row at V0 = 2.5
+        buf = io.StringIO()
+        sweep_to_csv(rows, buf)
+        lines = buf.getvalue().split("\n")
+        assert lines[0] == CSV_HEADER and lines[-1] == ""
+        assert len(lines) == len(rows) + 2
+        for line, row in zip(lines[1:], rows):
+            head = [format(v, ".17g") for v in (row.E, row.V0, row.m0)] + [row.coupling.value]
+            if row.result is None:
+                assert line.split(",") == head + [""] * 9 + ["error"]
+                continue
+            res = row.result
+            values = (res.a, res.b.real, res.b.imag, res.R.real, res.R.imag,
+                      res.T.real, res.T.imag, res.r, res.t)
+            assert line.split(",") == (head + [format(v, ".17g") for v in values]
+                                       + [res.regime.value])
