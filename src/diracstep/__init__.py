@@ -29,11 +29,9 @@ from .dynamics import (
     PotentialProfile,
     WavePacketState,
     evolve,
-    free_half_step,
     gaussian_packet,
     measure,
     observables_to_csv,
-    potential_half_step,
     snapshot_to_csv,
 )
 from .scattering import (
@@ -88,11 +86,9 @@ __all__ = [
     "PotentialProfile",
     "WavePacketState",
     "evolve",
-    "free_half_step",
     "gaussian_packet",
     "measure",
     "observables_to_csv",
-    "potential_half_step",
     "snapshot_to_csv",
     "PlotSpec",
     "render_svg",

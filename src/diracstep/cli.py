@@ -6,7 +6,7 @@ given flags win over config values.  Output files are written atomically
 (temp file + rename), so no partial artifacts are left behind.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
-verification), 2 invalid parameters.
+verification), 2 invalid parameters (non-finite values included).
 """
 
 from __future__ import annotations
@@ -133,40 +133,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """Layer flag values over config-file values over defaults."""
-    merged = dict(defaults)
-    if args.config is not None:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(file_values) - set(defaults) - {"output", "format"})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update({k: v for k, v in file_values.items() if k in defaults})
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
+def _read_config(path: str, defaults: dict[str, Any]) -> dict[str, Any]:
+    """The JSON object of a --config file, checked against the known keys."""
+    with open(path) as fh:
+        file_values = json.load(fh)
+    if not isinstance(file_values, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(file_values) - set(defaults) - {"output", "format"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return file_values
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Layer flag values over config-file values over defaults."""
     defaults = {
         "scatter": _SCATTER_DEFAULTS,
         "evolve": _EVOLVE_DEFAULTS,
         "algebra": _ALGEBRA_DEFAULTS,
     }[args.subcommand]
-    params = _merge_config(args, defaults)
-    output = args.output
-    fmt = args.format
-    if output is None and args.config is not None:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        output = file_values.get("output")
-        if fmt is None:
-            fmt = file_values.get("format")
+    file_values = {} if args.config is None else _read_config(args.config, defaults)
+    params = dict(defaults)
+    params.update({k: v for k, v in file_values.items() if k in defaults})
+    for key in defaults:
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            params[key] = flag_value
+    output = args.output if args.output is not None else file_values.get("output")
+    fmt = args.format if args.format is not None else file_values.get("format")
     return RunConfig(
         subcommand=args.subcommand,
         parameters=params,

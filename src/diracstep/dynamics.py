@@ -6,11 +6,23 @@ pseudoscalar).  One Strang step of size dt is
 
     exp(-i V Gamma dt/2) . exp(-i H0 dt) . exp(-i V Gamma dt/2)
 
-where both factors are exact closed-form 2x2 unitaries: the free factor
-acts per momentum mode, the potential factor per grid point.  Every
-substep is therefore unitary and the norm is conserved to roundoff; the
-splitting error is O(dt^2) in observables.  Spatial derivatives are
+where both factors are exact closed-form 2x2 unitaries of the form
+c * 1 - i s * h: the free factor acts per momentum mode, the potential
+factor per grid point (every coupling matrix squares to 1, so
+exp(-i theta Gamma) = cos theta - i sin theta Gamma).  Each factor is built
+once per run as coefficient fields and applied to the field in place.
+Every substep is therefore unitary and the norm is conserved to roundoff;
+the splitting error is O(dt^2) in observables.  Spatial derivatives are
 spectral (FFT), so there is no fermion doubling.
+
+Between record points the two adjacent half-kicks of consecutive steps
+are fused into one full kick, so a run of n steps costs n kicks, not 2n;
+every record point and the final step end on a trailing half-kick, so
+recorded states are the Strang states to roundoff.  Finiteness is checked
+at record points only: a NaN or inf spreads over the whole field through
+the FFT, so a fault is still caught, and reported as "detected by step N"
+with N the record point that caught it.  Non-finite parameters (grid,
+profile, packet or dt) are refused with ValueError before any step runs.
 
 A wave packet is stored as a (2, N) complex field on a uniform periodic
 grid.  Packets are initialized in momentum space as superpositions of
@@ -21,8 +33,10 @@ plane-wave coefficients of the scattering module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Callable, Literal
 
 import numpy as np
@@ -37,6 +51,8 @@ class Grid:
     n must be a power of two (>= 256) for the FFT sizes this module is
     tuned for; the domain is [x0, x0 + length) with x0 defaulting to
     -length/2.  Wavenumbers are k_j = 2*pi*j/length, j in [-n/2, n/2).
+    The coordinate arrays x and k are computed once per grid and are
+    read-only.
     """
 
     n: int
@@ -46,22 +62,29 @@ class Grid:
     def __post_init__(self):
         if self.n < 256 or self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two >= 256, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+        if not (self.length > 0 and math.isfinite(self.length)):
+            raise ValueError(f"domain length must be positive and finite, got {self.length}")
         if self.x0 is None:
             object.__setattr__(self, "x0", -0.5 * self.length)
+        elif not math.isfinite(self.x0):
+            raise ValueError(f"domain origin x0 must be finite, got {self.x0}")
 
     @property
     def dx(self) -> float:
         return self.length / self.n
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return _read_only(self.x0 + self.dx * np.arange(self.n))
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -83,6 +106,11 @@ class PotentialProfile:
         object.__setattr__(self, "coupling", Coupling(self.coupling))
         if self.kind not in ("step", "zero"):
             raise ValueError(f"kind must be 'step' or 'zero', got {self.kind!r}")
+        if not all(map(math.isfinite, (self.v0, self.x_step, self.smoothing))):
+            raise ValueError(
+                f"v0, x_step and smoothing must be finite, got v0={self.v0}, "
+                f"x_step={self.x_step}, smoothing={self.smoothing}"
+            )
         if self.smoothing < 0:
             raise ValueError(f"smoothing width must be nonnegative, got {self.smoothing}")
 
@@ -160,8 +188,13 @@ def gaussian_packet(
     so the packet contains no negative-energy admixture and moves with
     group velocity ~ k_c/E_c.  Preconditions: sigma >= 4 dx (momentum
     content resolved), x_c at least 5 sigma from both edges (periodic
-    wrap-around negligible), k_c > 0 (right-moving).
+    wrap-around negligible), k_c > 0 (right-moving), all four finite.
     """
+    if not all(map(math.isfinite, (x_c, k_c, sigma, m0))):
+        raise ValueError(
+            f"x_c, k_c, sigma and m0 must be finite, got x_c={x_c}, k_c={k_c}, "
+            f"sigma={sigma}, m0={m0}"
+        )
     if m0 < 0:
         raise ValueError(f"mass must be nonnegative, got {m0}")
     if not k_c > 0:
@@ -194,9 +227,26 @@ def gaussian_packet(
     return WavePacketState(grid=grid, psi=psi, time=0.0, m0=m0)
 
 
-def _free_mode_kernel(
-    grid: Grid, m0: float, dt: float
-) -> Callable[[np.ndarray], np.ndarray]:
+# A factor is the 2x2 matrix field [[d0, o0], [o1, d1]] held as two
+# coefficient fields, diag = (d0, d1) and off = (o0, o1), each (2, N), or
+# (N,) when its two rows agree; off is None when the matrix is diagonal
+# everywhere.
+_Factor = tuple[np.ndarray, "np.ndarray | None"]
+
+
+def _unitary(c: np.ndarray, s: np.ndarray, h) -> _Factor:
+    """The factor c * 1 - i s * h for a 2x2 (field of) matrices h."""
+    diag = _rows(c - 1j * s * h[0][0], c - 1j * s * h[1][1])
+    off = _rows(-1j * s * h[0][1], -1j * s * h[1][0])
+    return diag, (off if off.any() else None)
+
+
+def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one row broadcasts over both components and halves the field's memory
+    return a if np.array_equal(a, b) else np.stack([a, b])
+
+
+def _free_factor(grid: Grid, m0: float, dt: float) -> _Factor:
     """Exact per-mode free propagator exp(-i (sigma_x k + sigma_z m0) dt).
 
     exp(-i H0 dt) = cos(w dt) I - i sin(w dt)/w (sigma_x k + sigma_z m0),
@@ -204,72 +254,32 @@ def _free_mode_kernel(
     """
     k = grid.k
     omega = np.hypot(k, m0)
-    c = np.cos(omega * dt)
     s_over_omega = np.divide(
         np.sin(omega * dt), omega, out=np.zeros_like(omega), where=omega > 0
     )
-    diag_up = c - 1j * s_over_omega * m0
-    diag_dn = c + 1j * s_over_omega * m0
-    off = -1j * s_over_omega * k
-
-    def apply(psi_k: np.ndarray) -> np.ndarray:
-        up, dn = psi_k
-        return np.stack([diag_up * up + off * dn, off * up + diag_dn * dn])
-
-    return apply
+    return _unitary(np.cos(omega * dt), s_over_omega, ((m0, k), (k, -m0)))
 
 
-def _potential_point_kernel(
-    profile: PotentialProfile, grid: Grid, dt: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact per-point potential propagator exp(-i V(x) Gamma dt)."""
-    theta = profile.values(grid.x) * dt
-    if profile.coupling is Coupling.VECTOR:
-        phase = np.exp(-1j * theta)
+def _kick_factor(profile: PotentialProfile, grid: Grid, dt: float) -> _Factor:
+    """Exact per-point potential propagator exp(-i V(x) Gamma dt).
 
-        def apply(psi: np.ndarray) -> np.ndarray:
-            return psi * phase
-
-    elif profile.coupling is Coupling.SCALAR:
-        phase = np.exp(-1j * theta)
-        phase_conj = np.conj(phase)
-
-        def apply(psi: np.ndarray) -> np.ndarray:
-            return np.stack([psi[0] * phase, psi[1] * phase_conj])
-
-    else:  # pseudoscalar: exp(-i theta sigma_y) is a real rotation
-        c, s = np.cos(theta), np.sin(theta)
-
-        def apply(psi: np.ndarray) -> np.ndarray:
-            up, dn = psi
-            return np.stack([c * up - s * dn, s * up + c * dn])
-
-    return apply
-
-
-def free_half_step(state: WavePacketState, dt: float) -> WavePacketState:
-    """Apply the exact free propagator for a time dt (one splitting factor)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    kernel = _free_mode_kernel(state.grid, state.m0, dt)
-    psi_k = np.fft.fft(state.psi, axis=1)
-    psi = np.fft.ifft(kernel(psi_k), axis=1)
-    return WavePacketState(state.grid, psi, state.time + dt, state.m0)
-
-
-def potential_half_step(
-    state: WavePacketState, profile: PotentialProfile, dt: float
-) -> WavePacketState:
-    """Apply the exact potential propagator for a time dt (one splitting factor).
-
-    The state's clock is not advanced: in a composed Strang step
-    kick(dt/2) . free(dt) . kick(dt/2) the free factor carries the whole
-    interval, so the clock moves by exactly dt per step.
+    Gamma^2 = 1 for every coupling, so the exponential is
+    cos(theta) I - i sin(theta) Gamma with theta = V dt; cos and sin are
+    read off exp(-i theta), so a vector kick is exactly that phase.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    kernel = _potential_point_kernel(profile, state.grid, dt)
-    return WavePacketState(state.grid, kernel(state.psi), state.time, state.m0)
+    phase = np.exp(-1j * (profile.values(grid.x) * dt))
+    return _unitary(phase.real, -phase.imag, profile.coupling.matrix)
+
+
+def _apply(factor: _Factor, psi: np.ndarray) -> None:
+    """psi <- factor . psi at every column of the (2, N) field, in place."""
+    diag, off = factor
+    if off is None:
+        psi *= diag
+        return
+    swapped = off * psi[::-1]
+    psi *= diag
+    psi += swapped
 
 
 def measure(state: WavePacketState, x_split: float, step: int = 0) -> ObservableRecord:
@@ -319,10 +329,12 @@ def evolve(
     at the potential step (or mid-domain for a zero profile).  dt well
     above 0.5*dx degrades the splitting accuracy (the method stays
     unitary and stable); that is reported as a warning, not an error.
-    Non-finite field values abort with the offending step index.
+    Half-kicks of adjacent steps are fused between record points.
+    Non-finite field values are caught at the record points and abort
+    with "detected by step N", N the record point that saw them.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if record_every < 1:
@@ -335,49 +347,46 @@ def evolve(
             stacklevel=2,
         )
     x_split = profile.split_position(grid)
-    half_kick = _potential_point_kernel(profile, grid, 0.5 * dt)
-    free_kernel = _free_mode_kernel(grid, state.m0, dt)
-    t0 = state.time
-    psi = np.array(state.psi, dtype=complex)
+    half_kick = _kick_factor(profile, grid, 0.5 * dt)
+    kick = _kick_factor(profile, grid, dt)
+    free = _free_factor(grid, state.m0, dt)
     records = [measure(state, x_split, step=0)]
     if on_record is not None:
         on_record(state, 0)
+    psi = np.array(state.psi)
+    _apply(half_kick, psi)
     for step in range(1, n_steps + 1):
-        psi = half_kick(psi)
-        psi = np.fft.ifft(free_kernel(np.fft.fft(psi, axis=1)), axis=1)
-        psi = half_kick(psi)
-        if not np.all(np.isfinite(psi)):
-            raise FloatingPointError(f"non-finite field values at step {step}")
-        if step % record_every == 0 or step == n_steps:
-            snapshot = WavePacketState(grid, psi, t0 + step * dt, state.m0)
-            records.append(measure(snapshot, x_split, step=step))
-            if on_record is not None:
-                on_record(snapshot, step)
-    final = WavePacketState(grid, psi, t0 + n_steps * dt, state.m0)
-    return final, records
+        psi = np.fft.fft(psi, axis=1)
+        _apply(free, psi)
+        psi = np.fft.ifft(psi, axis=1)
+        if step % record_every and step < n_steps:
+            _apply(kick, psi)  # this step's trailing and the next step's leading half
+            continue
+        _apply(half_kick, psi)
+        if not np.isfinite(psi).all():
+            raise FloatingPointError(f"non-finite field values detected by step {step}")
+        snapshot = WavePacketState(grid, psi, state.time + step * dt, state.m0)
+        records.append(measure(snapshot, x_split, step=step))
+        if on_record is not None:
+            on_record(snapshot, step)
+        _apply(half_kick, psi)  # the next step's leading half
+    return snapshot, records
 
 
 OBSERVABLES_CSV_HEADER = "step,time,norm,mean_x,p_left,p_right,current"
 SNAPSHOT_CSV_HEADER = "x,re_psi_up,im_psi_up,re_psi_dn,im_psi_dn"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def observables_to_csv(records: list[ObservableRecord], stream: IO[str]) -> None:
-    stream.write(OBSERVABLES_CSV_HEADER + "\n")
-    for rec in records:
-        fields = (rec.time, rec.norm, rec.mean_x, rec.p_left, rec.p_right,
-                  rec.current_at_step)
-        stream.write(f"{rec.step}," + ",".join(_fmt(v) for v in fields) + "\n")
+    line = "%d" + ",%.17g" * 6 + "\n"
+    rows = [(r.step, r.time, r.norm, r.mean_x, r.p_left, r.p_right, r.current_at_step)
+            for r in records]
+    stream.write(OBSERVABLES_CSV_HEADER + "\n" + "".join(map(line.__mod__, rows)))
 
 
 def snapshot_to_csv(state: WavePacketState, stream: IO[str]) -> None:
     """Full-field dump, one row per grid point."""
-    stream.write(SNAPSHOT_CSV_HEADER + "\n")
     up, dn = state.psi
-    for x, u, d in zip(state.grid.x, up, dn):
-        stream.write(
-            f"{_fmt(x)},{_fmt(u.real)},{_fmt(u.imag)},{_fmt(d.real)},{_fmt(d.imag)}\n"
-        )
+    columns = [c.tolist() for c in (state.grid.x, up.real, up.imag, dn.real, dn.imag)]
+    line = "%.17g" + ",%.17g" * 4 + "\n"
+    stream.write(SNAPSHOT_CSV_HEADER + "\n" + "".join(map(line.__mod__, zip(*columns))))

@@ -18,10 +18,8 @@ from diracstep.dynamics import (
     Grid,
     PotentialProfile,
     evolve,
-    free_half_step,
     gaussian_packet,
     measure,
-    potential_half_step,
 )
 from diracstep.scattering import (
     Coupling,
@@ -207,12 +205,9 @@ def test_criterion_7_coupling_discrimination():
 
     def run(profile: PotentialProfile):
         state = gaussian_packet(grid, x_c=-20.0, k_c=k_c, sigma=4.0, m0=m0)
-        recs = [measure(state, 0.0, step=0)]
-        for step in range(1, n_steps + 1):
-            state = potential_half_step(state, profile, 0.5 * dt)
-            state = free_half_step(state, dt)
-            state = potential_half_step(state, profile, 0.5 * dt)
-            recs.append(measure(state, 0.0, step=step))
+        recs = []
+        evolve(state, profile, dt, n_steps, record_every=1,
+               on_record=lambda s, step: recs.append(measure(s, 0.0, step=step)))
         return recs
 
     free_recs = run(PotentialProfile(coupling="vector", kind="zero"))

@@ -240,6 +240,33 @@ class TestEvolve:
         assert main(["evolve", "--Ec", "0.5"]) == 2
         assert "Ec > m0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--V0", "nan"], ["--V0", "inf"], ["--sigma", "nan"], ["--x-c", "nan"],
+        ["--smoothing", "nan"], ["--dt", "inf"], ["--domain-l", "inf"], ["--kc", "inf"],
+    ])
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(["evolve", "--grid-n", "256", "--steps", "10"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+    def test_output_format_from_config_file(self, tmp_path, capsys):
+        """format and output are read from the config file when no flag
+        gives them; an --output flag leaves the config's format in force."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 512, "domain_l": 100.0, "sigma": 4.0, "steps": 20,
+            "record_every": 10, "format": "json",
+            "output": str(tmp_path / "from_config.json"),
+        }))
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        data = json.loads((tmp_path / "from_config.json").read_text())
+        assert [rec["step"] for rec in data["records"]] == [0, 10, 20]
+        flag_path = tmp_path / "from_flag.json"
+        assert main(["evolve", "--config", str(cfg), "--output", str(flag_path)]) == 0
+        assert json.loads(flag_path.read_text())["records"] == data["records"]
+        capsys.readouterr()
+
 
 class TestAlgebra:
     def test_build_and_verify_line(self, capsys):

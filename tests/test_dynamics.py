@@ -14,15 +14,30 @@ from diracstep.dynamics import (
     Grid,
     PotentialProfile,
     WavePacketState,
+    _apply,
+    _free_factor,
+    _kick_factor,
     evolve,
-    free_half_step,
     gaussian_packet,
     measure,
     observables_to_csv,
-    potential_half_step,
     snapshot_to_csv,
 )
 from diracstep.scattering import Coupling, incident_factor
+
+
+def free_step(state: WavePacketState, dt: float) -> WavePacketState:
+    """The free factor for a time dt, applied per momentum mode."""
+    psi_k = np.fft.fft(state.psi, axis=1)
+    _apply(_free_factor(state.grid, state.m0, dt), psi_k)
+    return WavePacketState(state.grid, np.fft.ifft(psi_k, axis=1), state.time, state.m0)
+
+
+def kick(state: WavePacketState, profile: PotentialProfile, dt: float) -> WavePacketState:
+    """The potential factor for a time dt, applied per grid point."""
+    psi = np.array(state.psi)
+    _apply(_kick_factor(profile, state.grid, dt), psi)
+    return WavePacketState(state.grid, psi, state.time, state.m0)
 
 
 class TestGrid:
@@ -50,6 +65,22 @@ class TestGrid:
             Grid(n=256, length=0.0)
         with pytest.raises(ValueError):
             Grid(n=256, length=-5.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(length=math.inf), dict(length=math.nan),
+        dict(length=10.0, x0=math.nan), dict(length=10.0, x0=-math.inf),
+    ])
+    def test_rejects_non_finite_domain(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(n=256, **kwargs)
+
+    def test_coordinates_computed_once_and_read_only(self):
+        g = Grid(n=256, length=32.0)
+        assert g.x is g.x and g.k is g.k
+        with pytest.raises(ValueError):
+            g.x[0] = 1.0
+        with pytest.raises(ValueError):
+            g.k[0] = 1.0
 
 
 class TestPotentialProfile:
@@ -92,6 +123,12 @@ class TestPotentialProfile:
             PotentialProfile(coupling="vector", smoothing=-1.0)
         with pytest.raises(ValueError):
             PotentialProfile(coupling="chiral")
+
+    @pytest.mark.parametrize("field", ["v0", "x_step", "smoothing"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            PotentialProfile(coupling="vector", **{field: value})
 
 
 class TestWavePacketState:
@@ -155,20 +192,28 @@ class TestGaussianPacket:
         with pytest.raises(ValueError, match="mass"):
             gaussian_packet(g, x_c=-20.0, k_c=1.0, sigma=4.0, m0=-1.0)
 
+    @pytest.mark.parametrize("field", ["x_c", "k_c", "sigma", "m0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        g = Grid(n=512, length=100.0)
+        params = dict(x_c=-20.0, k_c=1.0, sigma=4.0, m0=1.0)
+        params[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_packet(g, **params)
+
 
 class TestFreePropagator:
     def test_norm_preserved(self):
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-20.0, k_c=1.2, sigma=4.0, m0=1.0)
-        out = free_half_step(state, 0.37)
+        out = free_step(state, 0.37)
         assert abs(out.norm() - 1.0) <= 1e-13
-        assert out.time == 0.37
 
     def test_composition_matches_single_application(self):
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-20.0, k_c=1.2, sigma=4.0, m0=1.0)
-        twice = free_half_step(free_half_step(state, 0.2), 0.2)
-        once = free_half_step(state, 0.4)
+        twice = free_step(free_step(state, 0.2), 0.2)
+        once = free_step(state, 0.4)
         assert np.max(np.abs(twice.psi - once.psi)) <= 1e-13
 
     def test_massless_plane_waves_advect_with_pure_phase(self):
@@ -179,18 +224,20 @@ class TestFreePropagator:
         dt = 0.7
         # sigma_x eigenspinor (1, 1): energy +k
         plus = WavePacketState(g, np.stack([wave, wave]), 0.0, 0.0)
-        out = free_half_step(plus, dt)
+        out = free_step(plus, dt)
         assert np.max(np.abs(out.psi - plus.psi * np.exp(-1j * k * dt))) <= 1e-13
         # sigma_x eigenspinor (1, -1): energy -k
         minus = WavePacketState(g, np.stack([wave, -wave]), 0.0, 0.0)
-        out = free_half_step(minus, dt)
+        out = free_step(minus, dt)
         assert np.max(np.abs(out.psi - minus.psi * np.exp(1j * k * dt))) <= 1e-13
 
     def test_rejects_nonpositive_dt(self):
         g = Grid(n=256, length=32.0)
         state = WavePacketState(g, np.zeros((2, 256), dtype=complex), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            free_half_step(state, 0.0)
+        prof = PotentialProfile(coupling="vector", kind="zero")
+        for dt in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                evolve(state, prof, dt, 1)
 
 
 class TestPotentialPropagator:
@@ -203,7 +250,7 @@ class TestPotentialPropagator:
         g = Grid(n=256, length=32.0)
         state = self._random_state(g, 0)
         prof = PotentialProfile(coupling="vector", kind="zero")
-        out = potential_half_step(state, prof, 0.3)
+        out = kick(state, prof, 0.3)
         assert np.array_equal(out.psi, state.psi)
 
     def test_constant_vector_potential_is_global_phase(self):
@@ -211,9 +258,8 @@ class TestPotentialPropagator:
         state = self._random_state(g, 1)
         v0, dt = 0.8, 0.3
         prof = PotentialProfile(coupling="vector", v0=v0, x_step=g.x0 - 0.5 * g.dx)
-        out = potential_half_step(state, prof, dt)
+        out = kick(state, prof, dt)
         assert np.array_equal(out.psi, state.psi * np.exp(-1j * v0 * dt))
-        assert out.time == state.time  # the free factor owns the clock
 
     @pytest.mark.parametrize("coupling", ["vector", "scalar", "pseudoscalar"])
     def test_matches_matrix_exponential_oracle(self, coupling):
@@ -221,7 +267,7 @@ class TestPotentialPropagator:
         state = self._random_state(g, 2)
         prof = PotentialProfile(coupling=coupling, v0=1.3, x_step=-2.0, smoothing=1.0)
         dt = 0.4
-        out = potential_half_step(state, prof, dt)
+        out = kick(state, prof, dt)
         # independent route: diagonalize theta * Gamma at every grid point
         theta = prof.values(g.x) * dt
         gamma = Coupling(coupling).matrix
@@ -239,7 +285,7 @@ class TestPotentialPropagator:
         # constant pseudoscalar potential with theta = pi/2: (1,0) -> (0,1)
         v0, dt = 1.0, math.pi / 2
         prof = PotentialProfile(coupling="pseudoscalar", v0=v0, x_step=g.x0 - 0.5 * g.dx)
-        out = potential_half_step(state, prof, dt)
+        out = kick(state, prof, dt)
         assert np.max(np.abs(out.psi[0])) <= 1e-15
         assert np.max(np.abs(out.psi[1] - 1.0)) <= 1e-15
 
@@ -318,6 +364,35 @@ class TestEvolve:
         with pytest.raises(FloatingPointError, match="step 1"):
             evolve(state, prof, 0.05, 10)
 
+    def test_nonfinite_field_detected_at_the_first_record_point(self):
+        g = Grid(n=256, length=32.0)
+        psi = np.zeros((2, 256), dtype=complex)
+        psi[0, 7] = np.inf
+        state = WavePacketState(g, psi, 0.0, 1.0)
+        prof = PotentialProfile(coupling="vector", kind="zero")
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="detected by step 3$"):
+            evolve(state, prof, 0.05, 10, record_every=3)
+
+    @pytest.mark.parametrize("coupling", ["vector", "scalar", "pseudoscalar"])
+    def test_fused_kicks_match_unfused_strang_steps(self, coupling):
+        """Every recorded state equals kick(dt/2) . free(dt) . kick(dt/2)
+        applied step by step, for records on and off the record_every grid."""
+        g = Grid(n=512, length=100.0)
+        state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
+        prof = PotentialProfile(coupling=coupling, v0=1.3, x_step=-15.0, smoothing=1.0)
+        dt, n_steps = 0.08, 30
+        seen = {}
+        final, records = evolve(state, prof, dt, n_steps, record_every=7,
+                                on_record=lambda s, step: seen.__setitem__(step, s.psi))
+        assert sorted(seen) == [0, 7, 14, 21, 28, 30]
+        ref = state
+        for step in range(1, n_steps + 1):
+            ref = kick(free_step(kick(ref, prof, 0.5 * dt), dt), prof, 0.5 * dt)
+            if step in seen:
+                assert np.max(np.abs(seen[step] - ref.psi)) <= 1e-13
+        assert np.array_equal(final.psi, seen[n_steps])
+
     def test_oversized_dt_warns_but_runs(self):
         g = Grid(n=256, length=32.0)  # dx = 0.125
         state = gaussian_packet(g, x_c=-8.0, k_c=1.0, sigma=1.0, m0=1.0)
@@ -392,6 +467,9 @@ class TestCsvWriters:
             assert float(fields[1]) == rec.time
             assert float(fields[2]) == rec.norm
             assert float(fields[5]) == rec.p_right
+            values = (rec.time, rec.norm, rec.mean_x, rec.p_left, rec.p_right,
+                      rec.current_at_step)
+            assert fields == [str(rec.step)] + [format(v, ".17g") for v in values]
 
     def test_snapshot_round_trip(self):
         g = Grid(n=256, length=32.0)
@@ -405,3 +483,7 @@ class TestCsvWriters:
         assert float(first[0]) == g.x[0]
         assert float(first[1]) == state.psi[0, 0].real
         assert float(first[2]) == state.psi[0, 0].imag
+        up, dn = state.psi
+        for line, x, u, d in zip(lines[1:], g.x, up, dn):
+            values = (x, u.real, u.imag, d.real, d.imag)
+            assert line.split(",") == [format(v, ".17g") for v in values]
