@@ -1,9 +1,11 @@
 """Command-line front end: scatter / evolve / algebra subcommands.
 
 All physics flags are in natural units (hbar = c = 1) with m0 defaulting
-to 1.  A JSON config file can stand in for flags (--config); explicitly
-given flags win over config values.  Output files are written atomically
-(temp file + rename), so no partial artifacts are left behind.
+to 1.  Every parameter and its default is declared once, on its flag.  A
+JSON config file (--config) can stand in for flags: its values become the
+subcommand's defaults, so explicitly given flags win over them.  Output
+files are written atomically (temp file + rename), so no partial artifacts
+are left behind.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
 verification), 2 invalid parameters (non-finite values included).
@@ -18,58 +20,19 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import algebra, dynamics, scattering, svgplot
 from .scattering import Coupling, ScatteringQuery, SingularConfigurationError
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully merged, defaulted invocation of one subcommand."""
-
-    subcommand: str
-    parameters: dict[str, Any]
-    output_path: str | None
-    format: str
+_FORMATS = ("csv", "svg", "json")
+_EC_DEFAULT = 2.0  # central energy when neither --Ec nor --kc is given
 
 
-_SCATTER_DEFAULTS = {
-    "E": None,  # required
-    "V0": 0.0,
-    "m0": 1.0,
-    "coupling": "vector",
-    "sweep": None,
-}
-
-_EVOLVE_DEFAULTS = {
-    "coupling": "vector",
-    "V0": 0.0,
-    "m0": 1.0,
-    "Ec": None,
-    "kc": None,
-    "grid_n": 2048,
-    "domain_l": 200.0,
-    "dt": 0.04,
-    "steps": 2500,
-    "sigma": 5.0,
-    "x_c": None,  # defaults to -domain_l/4 once the domain is known
-    "x_step": 0.0,
-    "smoothing": 0.0,
-    "record_every": 10,
-    "snapshots": False,
-}
-
-_ALGEBRA_DEFAULTS = {
-    "n": None,  # required unless --verify-json
-    "tolerance": 1e-12,
-    "emit_json": None,
-    "verify_json": None,
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The diracstep parser and its subcommand parsers, which hold every
+    parameter with its default."""
     parser = argparse.ArgumentParser(
         prog="diracstep",
         description="1+1D Dirac step-potential scattering, wave-packet "
@@ -79,94 +42,84 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "svg", "json"),
-                        help="output format (default: csv)")
+    common.add_argument("--format", choices=_FORMATS, default="csv",
+                        help="output format (default: %(default)s)")
     common.add_argument("--config", metavar="PATH",
                         help="JSON file providing parameter values; flags win on conflict")
 
     p = sub.add_parser("scatter", parents=[common],
                        help="closed-form step scattering (single query or sweep)")
     p.add_argument("--E", type=float, help="incident energy (> m0)")
-    p.add_argument("--V0", type=float, help="step height (default 0)")
-    p.add_argument("--m0", type=float, help="rest mass (default 1)")
-    p.add_argument("--coupling", choices=[c.value for c in Coupling],
-                   help="Lorentz channel (default vector)")
+    _add_step_arguments(p)
     p.add_argument("--sweep", metavar="AXIS:FROM:TO:STEPS",
                    help="sweep one of E, V0, m0 over an inclusive grid")
 
     p = sub.add_parser("evolve", parents=[common],
                        help="split-step wave-packet evolution across the step")
-    p.add_argument("--coupling", choices=[c.value for c in Coupling])
-    p.add_argument("--V0", type=float, help="step height (default 0)")
-    p.add_argument("--m0", type=float, help="rest mass (default 1)")
+    _add_step_arguments(p)
     energy = p.add_mutually_exclusive_group()
-    energy.add_argument("--Ec", type=float, help="packet central energy (> m0; default 2)")
+    energy.add_argument("--Ec", type=float,
+                        help=f"packet central energy (> m0; default: {_EC_DEFAULT:g})")
     energy.add_argument("--kc", type=float, help="packet central wavenumber (> 0)")
-    p.add_argument("--grid-n", dest="grid_n", type=int,
-                   help="grid points, power of two (default 2048)")
-    p.add_argument("--domain-l", dest="domain_l", type=float,
-                   help="domain length (default 200)")
-    p.add_argument("--dt", type=float, help="time step (default 0.04)")
-    p.add_argument("--steps", type=int, help="number of steps (default 2500)")
-    p.add_argument("--sigma", type=float, help="packet width (default 5)")
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=2048,
+                   help="grid points, power of two (default: %(default)s)")
+    p.add_argument("--domain-l", dest="domain_l", type=float, default=200.0,
+                   help="domain length (default: %(default)s)")
+    p.add_argument("--dt", type=float, default=0.04, help="time step (default: %(default)s)")
+    p.add_argument("--steps", type=int, default=2500,
+                   help="number of steps (default: %(default)s)")
+    p.add_argument("--sigma", type=float, default=5.0, help="packet width (default: %(default)s)")
     p.add_argument("--x-c", dest="x_c", type=float,
-                   help="packet center (default -domain_l/4)")
-    p.add_argument("--x-step", dest="x_step", type=float,
-                   help="step position (default 0)")
-    p.add_argument("--smoothing", type=float,
-                   help="tanh smoothing width of the step (default 0 = sharp)")
-    p.add_argument("--record-every", dest="record_every", type=int,
-                   help="record observables every N steps (default 10)")
-    p.add_argument("--snapshots", action="store_const", const=True,
+                   help="packet center (default: -domain_l/4)")
+    p.add_argument("--x-step", dest="x_step", type=float, default=0.0,
+                   help="step position (default: %(default)s)")
+    p.add_argument("--smoothing", type=float, default=0.0,
+                   help="tanh smoothing width of the step (default: %(default)s = sharp)")
+    p.add_argument("--record-every", dest="record_every", type=int, default=10,
+                   help="record observables every N steps (default: %(default)s)")
+    p.add_argument("--snapshots", action="store_true",
                    help="write a full-field CSV snapshot at every record point")
 
     p = sub.add_parser("algebra", parents=[common],
                        help="build/verify Dirac matrices in n+1 dimensions")
     p.add_argument("--n", type=int, help="number of spatial dimensions (>= 1)")
-    p.add_argument("--tolerance", type=float,
-                   help="verification tolerance (default 1e-12)")
+    p.add_argument("--tolerance", type=float, default=1e-12,
+                   help="verification tolerance (default: %(default)s)")
     p.add_argument("--emit-json", dest="emit_json", metavar="PATH",
                    help="write the representation as JSON")
     p.add_argument("--verify-json", dest="verify_json", metavar="PATH",
                    help="verify a representation from JSON instead of building one")
 
-    return parser
+    return parser, sub.choices
 
 
-def _read_config(path: str, defaults: dict[str, Any]) -> dict[str, Any]:
-    """The JSON object of a --config file, checked against the known keys."""
+def _add_step_arguments(p: argparse.ArgumentParser) -> None:
+    """The step flags that scatter and evolve share."""
+    p.add_argument("--V0", type=float, default=0.0, help="step height (default: %(default)s)")
+    p.add_argument("--m0", type=float, default=1.0, help="rest mass (default: %(default)s)")
+    p.add_argument("--coupling", choices=[c.value for c in Coupling],
+                   default=Coupling.VECTOR.value, help="Lorentz channel (default: %(default)s)")
+
+
+def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
+    """The JSON object of a --config file, checked against the destinations
+    and defaults of the subcommand's parser."""
     with open(path) as fh:
-        file_values = json.load(fh)
-    if not isinstance(file_values, dict):
+        values = json.load(fh)
+    if not isinstance(values, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(file_values) - set(defaults) - {"output", "format"})
+    defaults = vars(command.parse_args([]))
+    del defaults["config"]
+    unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return file_values
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Layer flag values over config-file values over defaults."""
-    defaults = {
-        "scatter": _SCATTER_DEFAULTS,
-        "evolve": _EVOLVE_DEFAULTS,
-        "algebra": _ALGEBRA_DEFAULTS,
-    }[args.subcommand]
-    file_values = {} if args.config is None else _read_config(args.config, defaults)
-    params = dict(defaults)
-    params.update({k: v for k, v in file_values.items() if k in defaults})
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            params[key] = flag_value
-    output = args.output if args.output is not None else file_values.get("output")
-    fmt = args.format if args.format is not None else file_values.get("format")
-    return RunConfig(
-        subcommand=args.subcommand,
-        parameters=params,
-        output_path=output,
-        format=fmt or "csv",
-    )
+    nulls = sorted(k for k, v in values.items() if v is None and defaults[k] is not None)
+    if nulls:
+        raise ValueError(f"config keys cannot be null: {', '.join(nulls)}")
+    if "format" in values and values["format"] not in _FORMATS:
+        raise ValueError(f"config format must be one of {', '.join(_FORMATS)}, "
+                         f"got {values['format']!r}")
+    return values
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -202,14 +155,13 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     return axis, float(start), float(stop), int(steps)
 
 
-def run_scatter(config: RunConfig) -> int:
-    p = config.parameters
-    if p["E"] is None:
+def run_scatter(args: argparse.Namespace) -> int:
+    if args.E is None:
         raise ValueError("scatter requires --E")
-    coupling = Coupling(p["coupling"])
-    E, V0, m0 = float(p["E"]), float(p["V0"]), float(p["m0"])
+    coupling = Coupling(args.coupling)
+    E, V0, m0 = float(args.E), float(args.V0), float(args.m0)
 
-    if p["sweep"] is None:
+    if args.sweep is None:
         q = ScatteringQuery(E=E, V0=V0, m0=m0, coupling=coupling)
         res = scattering.amplitudes(q)
         print(
@@ -219,19 +171,19 @@ def run_scatter(config: RunConfig) -> int:
             f"re_T={_g(res.T.real)} im_T={_g(res.T.imag)} "
             f"r={_g(res.r)} t={_g(res.t)} regime={res.regime.value}"
         )
-        if config.output_path is not None:
-            if config.format not in ("csv", "json"):
+        if args.output is not None:
+            if args.format not in ("csv", "json"):
                 raise ValueError("svg output needs a sweep (a single point is not a curve)")
-            _emit_table(scattering.SweepTable(E, V0, m0, coupling), config.format,
-                        config.output_path, single=True)
+            _emit_table(scattering.SweepTable(E, V0, m0, coupling), args.format,
+                        args.output, single=True)
         return 0
 
-    axis, start, stop, steps = _parse_sweep(p["sweep"])
+    axis, start, stop, steps = _parse_sweep(args.sweep)
     base = _sweep_base(E, V0, m0, coupling, axis)
     table = scattering.sweep(base, axis, start, stop, steps)
 
-    if config.format in ("csv", "json"):
-        _emit_table(table, config.format, config.output_path)
+    if args.format in ("csv", "json"):
+        _emit_table(table, args.format, args.output)
     else:
         ok = ~table.error
         plot_rows = [
@@ -250,7 +202,7 @@ def run_scatter(config: RunConfig) -> int:
             title=f"step scattering, {coupling.value} coupling",
             x_label=axis, y_label="coefficient", vlines=vlines,
         )
-        _emit(svgplot.render_svg(plot_rows, spec), config.output_path)
+        _emit(svgplot.render_svg(plot_rows, spec), args.output)
     return 0
 
 
@@ -274,32 +226,31 @@ def _sweep_base(E: float, V0: float, m0: float, coupling: Coupling, axis: str) -
     return ScatteringQuery(coupling=coupling, **values)
 
 
-def run_evolve(config: RunConfig) -> int:
-    p = config.parameters
-    coupling = Coupling(p["coupling"])
-    m0, V0 = float(p["m0"]), float(p["V0"])
-    if p["kc"] is not None:
-        k_c = float(p["kc"])
+def run_evolve(args: argparse.Namespace) -> int:
+    coupling = Coupling(args.coupling)
+    m0, V0 = float(args.m0), float(args.V0)
+    if args.kc is not None:
+        k_c = float(args.kc)
     else:
-        e_c = 2.0 if p["Ec"] is None else float(p["Ec"])
+        e_c = _EC_DEFAULT if args.Ec is None else float(args.Ec)
         if not e_c > m0:
             raise ValueError(f"need Ec > m0, got Ec={e_c}, m0={m0}")
         k_c = math.sqrt(e_c * e_c - m0 * m0)
     e_c = math.sqrt(k_c * k_c + m0 * m0)
 
-    grid = dynamics.Grid(n=int(p["grid_n"]), length=float(p["domain_l"]))
-    x_c = -0.25 * grid.length if p["x_c"] is None else float(p["x_c"])
+    grid = dynamics.Grid(n=int(args.grid_n), length=float(args.domain_l))
+    x_c = -0.25 * grid.length if args.x_c is None else float(args.x_c)
     kind = "zero" if V0 == 0.0 else "step"
     profile = dynamics.PotentialProfile(
         coupling=coupling, kind=kind, v0=V0,
-        x_step=float(p["x_step"]), smoothing=float(p["smoothing"]),
+        x_step=float(args.x_step), smoothing=float(args.smoothing),
     )
-    state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=float(p["sigma"]), m0=m0)
+    state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=float(args.sigma), m0=m0)
 
     snapshot_dir = None
-    if p["snapshots"]:
-        snapshot_dir = (os.path.dirname(os.path.abspath(config.output_path))
-                        if config.output_path else os.getcwd())
+    if args.snapshots:
+        snapshot_dir = (os.path.dirname(os.path.abspath(args.output))
+                        if args.output else os.getcwd())
 
     def on_record(snapshot_state: dynamics.WavePacketState, step: int) -> None:
         if snapshot_dir is None:
@@ -310,8 +261,8 @@ def run_evolve(config: RunConfig) -> int:
                       buf.getvalue())
 
     final, records = dynamics.evolve(
-        state, profile, dt=float(p["dt"]), n_steps=int(p["steps"]),
-        record_every=int(p["record_every"]),
+        state, profile, dt=float(args.dt), n_steps=int(args.steps),
+        record_every=int(args.record_every),
         on_record=on_record if snapshot_dir is not None else None,
     )
 
@@ -330,8 +281,8 @@ def run_evolve(config: RunConfig) -> int:
             pass  # degenerate point: no analytic reference to report
 
     # records go to a file; bare stdout stays pure summary JSON
-    if config.output_path is not None:
-        if config.format == "svg":
+    if args.output is not None:
+        if args.format == "svg":
             plot_rows = [
                 {"time": rec.time, "norm": rec.norm,
                  "p_left": rec.p_left, "p_right": rec.p_right}
@@ -342,33 +293,35 @@ def run_evolve(config: RunConfig) -> int:
                 title=f"wave-packet evolution, {coupling.value} coupling",
                 x_label="time", y_label="probability",
             )
-            _emit(svgplot.render_svg(plot_rows, spec), config.output_path)
-        elif config.format == "json":
+            _emit(svgplot.render_svg(plot_rows, spec), args.output)
+        elif args.format == "json":
             payload = {"records": [rec.__dict__ for rec in records], "summary": summary}
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
+            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
         else:
             buf = io.StringIO()
             dynamics.observables_to_csv(records, buf)
-            _emit(buf.getvalue(), config.output_path)
+            _emit(buf.getvalue(), args.output)
 
     summary_text = json.dumps(summary, indent=2, sort_keys=True)
     print(summary_text)
-    if config.output_path is not None:
-        _atomic_write(config.output_path + ".summary.json", summary_text + "\n")
+    if args.output is not None:
+        _atomic_write(args.output + ".summary.json", summary_text + "\n")
     return 0
 
 
-def run_algebra(config: RunConfig) -> int:
-    p = config.parameters
-    tolerance = float(p["tolerance"])
+def run_algebra(args: argparse.Namespace) -> int:
+    if args.output is not None and args.format != "json":
+        raise ValueError("algebra writes its representation only as JSON: "
+                         "add --format json to --output, or use --emit-json PATH")
+    tolerance = float(args.tolerance)
 
-    if p["verify_json"] is not None:
-        with open(p["verify_json"]) as fh:
+    if args.verify_json is not None:
+        with open(args.verify_json) as fh:
             rep = algebra.representation_from_json(json.load(fh))
     else:
-        if p["n"] is None:
+        if args.n is None:
             raise ValueError("algebra requires --n (or --verify-json)")
-        rep = algebra.build_representation(int(p["n"]))
+        rep = algebra.build_representation(int(args.n))
 
     report = algebra.verify_clifford(rep, tolerance)
     print(
@@ -378,9 +331,7 @@ def run_algebra(config: RunConfig) -> int:
     for name, deviation in report.failures:
         print(f"  failed: {name} (deviation {format(deviation, '.6g')})")
 
-    emit_path = p["emit_json"]
-    if emit_path is None and config.output_path is not None and config.format == "json":
-        emit_path = config.output_path
+    emit_path = args.emit_json if args.emit_json is not None else args.output
     if emit_path is not None:
         text = json.dumps(algebra.representation_to_json(rep), sort_keys=True)
         _atomic_write(emit_path, text + "\n")
@@ -388,11 +339,16 @@ def run_algebra(config: RunConfig) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        if args.config is not None:
+            # config values become the subcommand's defaults, so flags still win
+            command = commands[args.subcommand]
+            command.set_defaults(**_read_config(args.config, command))
+            args = parser.parse_args(argv)
         runner = {"scatter": run_scatter, "evolve": run_evolve, "algebra": run_algebra}
-        return runner[config.subcommand](config)
+        return runner[args.subcommand](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -295,12 +295,15 @@ def measure(state: WavePacketState, x_split: float, step: int = 0) -> Observable
     x = grid.x
     up, dn = state.psi
     dens = (np.abs(up) ** 2 + np.abs(dn) ** 2) * grid.dx
-    left = x < x_split
-    p_left = float(np.sum(dens[left]))
-    p_right = float(np.sum(dens[~left]))
+    # x is sorted, so x < x_split holds exactly on x[:split]
+    split = int(np.searchsorted(x, x_split))
+    p_left = float(np.sum(dens[:split]))
+    p_right = float(np.sum(dens[split:]))
     norm = p_left + p_right
     mean_x = float(np.sum(x * dens) / norm)
-    idx = int(np.argmin(np.abs(x - x_split)))
+    # nearest of the two neighbours of x_split, the lower one on a tie
+    lo, hi = max(split - 1, 0), min(split, grid.n - 1)
+    idx = lo if abs(x[lo] - x_split) <= abs(x[hi] - x_split) else hi
     current = float(2.0 * (np.conj(up[idx]) * dn[idx]).real)
     return ObservableRecord(
         step=step,

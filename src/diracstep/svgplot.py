@@ -67,7 +67,11 @@ def _tick_label(v: float) -> str:
 
 
 def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
-    """Render rows as an SVG document string (deterministic byte-for-byte)."""
+    """Render rows as an SVG document string (deterministic byte-for-byte).
+
+    Points whose x or y is not finite are left out of the curves and of
+    the axis ranges.
+    """
     if len(rows) < 2:
         raise ValueError(f"need at least 2 rows to plot, got {len(rows)}")
     columns = (spec.x_column,) + spec.y_columns
@@ -90,7 +94,8 @@ def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
         series[col] = pts
         all_y.extend(y for _, y in pts)
 
-    x_lo, x_hi = min(xs), max(xs)
+    finite_xs = [x for x in xs if math.isfinite(x)]
+    x_lo, x_hi = min(finite_xs), max(finite_xs)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5

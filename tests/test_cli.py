@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from diracstep.cli import main
+from diracstep.cli import _build_parser, main
 from diracstep.dynamics import OBSERVABLES_CSV_HEADER, SNAPSHOT_CSV_HEADER
 from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
 
@@ -96,6 +98,19 @@ class TestScatterSingle:
                      "--format", "svg"]) == 2
         assert "sweep" in capsys.readouterr().err
 
+
+    def test_readme_example_matches_stdout(self, tmp_path, capsys):
+        """The README's scatter block is what main prints, from flags and
+        from the same values in a config file."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"^\$ diracstep (scatter --E 1\.5 --V0 3)\n(.*\n)", readme, re.M)
+        assert match is not None
+        assert main(match.group(1).split()) == 0
+        assert capsys.readouterr().out == match.group(2)
+        cfg = tmp_path / "klein.json"
+        cfg.write_text(json.dumps({"E": 1.5, "V0": 3}))
+        assert main(["scatter", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == match.group(2)
 
 class TestScatterSweep:
     def test_potential_sweep_partition(self, tmp_path, capsys):
@@ -308,3 +323,72 @@ class TestAlgebra:
         capsys.readouterr()
         data = json.loads(path.read_text())
         assert data["n"] == 1 and data["dim"] == 2
+
+    @pytest.mark.parametrize("fmt", [None, "csv", "svg"])
+    def test_output_without_json_format_exits_2(self, fmt, tmp_path, capsys):
+        path = tmp_path / "rep.out"
+        argv = ["algebra", "--n", "3", "--output", str(path)]
+        assert main(argv + (["--format", fmt] if fmt else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format json" in captured.err and "--emit-json" in captured.err
+        assert not path.exists()
+
+
+class TestConfigFile:
+    """Config values are the subcommand's defaults, checked as flags are."""
+
+    @pytest.mark.parametrize("command, values", [
+        ("scatter", {"E": 1.5, "sweep": "V0:0:4:5"}),
+        ("evolve", {"grid_n": 256, "steps": 10}),
+    ])
+    def test_config_format_outside_choices_exits_2(self, command, values, tmp_path, capsys):
+        out = tmp_path / "out.xml"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(values, format="xml", output=str(out))))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "'xml'" in captured.err
+        assert not out.exists()
+
+    def test_config_null_for_defaulted_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"E": 1.5, "V0": None}))
+        assert main(["scatter", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "V0" in captured.err
+
+    def test_config_value_that_does_not_convert_exits_2(self, tmp_path, capsys):
+        """Config values are parser defaults, so argparse converts them with
+        the flag's type and stops with its usage line when it cannot."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"steps": "ten"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_config_null_central_energy_means_default(self, tmp_path, capsys):
+        argv = ["evolve", "--grid-n", "256", "--steps", "10"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"Ec": None, "x_c": None, "kc": None}))
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("command", ["scatter", "evolve", "algebra"])
+def test_help_shows_defaults(command, capsys):
+    """Every default a flag declares appears in its help line."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = vars(_build_parser()[1][command].parse_args([]))
+    shown = {key: value for key, value in defaults.items()
+             if value is not None and value is not False}
+    assert shown
+    for key, value in shown.items():
+        assert f"(default: {value}" in text, key

@@ -298,6 +298,30 @@ class TestMeasure:
         assert rec.norm == rec.p_left + rec.p_right
         assert abs(rec.norm - state.norm()) <= 1e-14
 
+    def test_split_and_nearest_point_match_mask_and_argmin(self):
+        """The sorted-grid split gives bitwise the sums over the mask
+        x < x_split and the argmin nearest point, at grid points, midpoints,
+        both domain edges and splits past the last grid point."""
+        for n in (256, 16384):
+            g = Grid(n=n, length=100.0)
+            state = gaussian_packet(g, x_c=-10.0, k_c=1.0, sigma=4.0, m0=1.0)
+            x, (up, dn) = g.x, state.psi
+            dens = (np.abs(up) ** 2 + np.abs(dn) ** 2) * g.dx
+            inner = [1, 2, n // 3, n // 2, n - 2]
+            splits = ([g.x0, g.x0 + g.length, x[-1] + 0.25 * g.dx, x[-1] + 0.5 * g.dx,
+                       x[0] + 0.5 * g.dx, x[-1]]
+                      + [x[i] for i in inner]
+                      + [0.5 * (x[i - 1] + x[i]) for i in inner]
+                      + [np.nextafter(x[i], -np.inf) for i in inner]
+                      + [np.nextafter(x[i], np.inf) for i in inner])
+            for x_split in map(float, splits):
+                rec = measure(state, x_split)
+                left = x < x_split
+                idx = int(np.argmin(np.abs(x - x_split)))
+                assert rec.p_left == float(np.sum(dens[left])), x_split
+                assert rec.p_right == float(np.sum(dens[~left])), x_split
+                assert rec.current_at_step == float(2.0 * (np.conj(up[idx]) * dn[idx]).real)
+
     def test_split_outside_domain_raises(self):
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-10.0, k_c=1.0, sigma=4.0, m0=1.0)

@@ -63,6 +63,18 @@ def test_nonfinite_points_are_dropped():
     assert "nan" not in svg and "inf" not in svg
 
 
+@pytest.mark.parametrize("bad_x", [float("inf"), float("-inf"), float("nan")])
+def test_nonfinite_x_rows_are_dropped(bad_x):
+    """Rows with a non-finite x in the first, a middle and the last place
+    render exactly as the plot without them."""
+    rows = _rows()
+    spec = PlotSpec(x_column="x", y_columns=("f", "g"), vlines=((3.0, "marker"),))
+    expected = render_svg(rows[1:10] + rows[11:19], spec)
+    for i in (0, 10, 19):
+        rows[i]["x"] = bad_x
+    assert render_svg(rows, spec) == expected
+
+
 def test_missing_column_raises():
     spec = PlotSpec(x_column="x", y_columns=("missing",))
     with pytest.raises(ValueError, match="missing column"):
