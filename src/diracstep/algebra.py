@@ -17,6 +17,7 @@ a built representation are exactly zero in floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,9 @@ class VerificationReport:
     """Outcome of checking one representation against the algebra.
 
     ``max_deviation`` is the largest absolute entry residual over every
-    checked identity; ``failures`` lists the identities whose residual
-    exceeds ``tolerance``.  ``passed`` iff max_deviation <= tolerance.
+    checked identity, NaN if any residual is NaN; ``failures`` lists the
+    identities whose residual exceeds ``tolerance`` or is NaN.  ``passed``
+    iff max_deviation <= tolerance.
     """
 
     passed: bool
@@ -133,8 +135,8 @@ def verify_clifford(
     A structural problem (mismatched dimensions) raises; a violated
     identity is reported, not raised.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     named = rep.matrices()
     shape = (rep.dim, rep.dim)
     for name, m in named:
@@ -161,8 +163,9 @@ def verify_clifford(
             (f"spectrum({name}) in {{+1,-1}}", _max_abs((m - eye) @ (m + eye)))
         )
 
-    max_deviation = max(dev for _, dev in deviations)
-    failures = [(name, dev) for name, dev in deviations if dev > tolerance]
+    # written so that a NaN residual (from a NaN or inf entry) fails
+    max_deviation = float(np.max([dev for _, dev in deviations]))
+    failures = [(name, dev) for name, dev in deviations if not dev <= tolerance]
     return VerificationReport(
         passed=max_deviation <= tolerance,
         max_deviation=max_deviation,
@@ -175,10 +178,14 @@ def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
+def _matrix_from_json(name: str, rows: list) -> np.ndarray:
+    try:
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be rows of [re, im] number pairs") from exc
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    return m
 
 
 def representation_to_json(rep: DiracRepresentation) -> dict:
@@ -194,13 +201,21 @@ def representation_to_json(rep: DiracRepresentation) -> dict:
 def representation_from_json(data: dict) -> DiracRepresentation:
     """Inverse of :func:`representation_to_json`; validates structure only.
 
-    Use :func:`verify_clifford` to check the algebra of an imported set.
+    Anything but an object with integer ``n`` and ``dim``, a list of
+    ``alphas`` and matrices of finite [re, im] number pairs raises
+    ValueError.  Use :func:`verify_clifford` to check the algebra of an
+    imported set.
     """
-    alphas = tuple(_matrix_from_json(a) for a in data["alphas"])
-    beta = _matrix_from_json(data["beta"])
+    if not isinstance(data, dict):
+        raise ValueError(f"a representation must be a JSON object, got {type(data).__name__}")
+    for key in ("n", "dim"):
+        if type(data[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {data[key]!r}")
+    if not isinstance(data["alphas"], list):
+        raise ValueError("alphas must be a list of matrices")
+    alphas = tuple(_matrix_from_json(f"alpha_{i + 1}", a) for i, a in enumerate(data["alphas"]))
+    beta = _matrix_from_json("beta", data["beta"])
     for m in alphas:
         m.setflags(write=False)
     beta.setflags(write=False)
-    return DiracRepresentation(
-        n=int(data["n"]), dim=int(data["dim"]), alphas=alphas, beta=beta
-    )
+    return DiracRepresentation(n=data["n"], dim=data["dim"], alphas=alphas, beta=beta)

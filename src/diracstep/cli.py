@@ -28,6 +28,7 @@ from .scattering import Coupling, ScatteringQuery, SingularConfigurationError
 
 _FORMATS = ("csv", "svg", "json")
 _EC_DEFAULT = 2.0  # central energy when neither --Ec nor --kc is given
+_ENERGY_KEYS = ("Ec", "kc")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -101,9 +102,11 @@ def _add_step_arguments(p: argparse.ArgumentParser) -> None:
                    default=Coupling.VECTOR.value, help="Lorentz channel (default: %(default)s)")
 
 
-def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
+def _read_config(path: str, command: argparse.ArgumentParser,
+                 flags: argparse.Namespace) -> dict[str, Any]:
     """The JSON object of a --config file, checked against the destinations
-    and defaults of the subcommand's parser."""
+    and defaults of the subcommand's parser, less the energy key an
+    explicit --Ec or --kc flag overrides."""
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
@@ -119,6 +122,12 @@ def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
     if "format" in values and values["format"] not in _FORMATS:
         raise ValueError(f"config format must be one of {', '.join(_FORMATS)}, "
                          f"got {values['format']!r}")
+    # --Ec and --kc exclude each other, in the file as on the command line
+    if all(values.get(key) is not None for key in _ENERGY_KEYS):
+        raise ValueError("config keys Ec and kc are mutually exclusive")
+    if any(getattr(flags, key, None) is not None for key in _ENERGY_KEYS):
+        for key in _ENERGY_KEYS:
+            values.pop(key, None)
     return values
 
 
@@ -185,12 +194,7 @@ def run_scatter(args: argparse.Namespace) -> int:
     if args.format in ("csv", "json"):
         _emit_table(table, args.format, args.output)
     else:
-        ok = ~table.error
-        plot_rows = [
-            {axis: x, "r": r, "t": t}
-            for x, r, t in zip(getattr(table, axis)[ok].tolist(),
-                               table.values["r"][ok].tolist(), table.values["t"][ok].tolist())
-        ]
+        ok = ~table.error  # error rows may hold finite garbage (e.g. m0 <= 0)
         vlines: tuple[tuple[float, str], ...] = ()
         if coupling is Coupling.VECTOR:
             if axis == "V0":
@@ -198,11 +202,11 @@ def run_scatter(args: argparse.Namespace) -> int:
             elif axis == "E":
                 vlines = ((V0 - m0, "E = V0 - m0"),)
         spec = svgplot.PlotSpec(
-            x_column=axis, y_columns=("r", "t"),
             title=f"step scattering, {coupling.value} coupling",
             x_label=axis, y_label="coefficient", vlines=vlines,
         )
-        _emit(svgplot.render_svg(plot_rows, spec), args.output)
+        series = {"r": table.values["r"][ok], "t": table.values["t"][ok]}
+        _emit(svgplot.render_svg(getattr(table, axis)[ok], series, spec), args.output)
     return 0
 
 
@@ -240,9 +244,8 @@ def run_evolve(args: argparse.Namespace) -> int:
 
     grid = dynamics.Grid(n=int(args.grid_n), length=float(args.domain_l))
     x_c = -0.25 * grid.length if args.x_c is None else float(args.x_c)
-    kind = "zero" if V0 == 0.0 else "step"
     profile = dynamics.PotentialProfile(
-        coupling=coupling, kind=kind, v0=V0,
+        coupling=coupling, v0=V0,
         x_step=float(args.x_step), smoothing=float(args.smoothing),
     )
     state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=float(args.sigma), m0=m0)
@@ -283,17 +286,14 @@ def run_evolve(args: argparse.Namespace) -> int:
     # records go to a file; bare stdout stays pure summary JSON
     if args.output is not None:
         if args.format == "svg":
-            plot_rows = [
-                {"time": rec.time, "norm": rec.norm,
-                 "p_left": rec.p_left, "p_right": rec.p_right}
-                for rec in records
-            ]
+            series = {name: [getattr(rec, name) for rec in records]
+                      for name in ("p_left", "p_right", "norm")}
             spec = svgplot.PlotSpec(
-                x_column="time", y_columns=("p_left", "p_right", "norm"),
                 title=f"wave-packet evolution, {coupling.value} coupling",
                 x_label="time", y_label="probability",
             )
-            _emit(svgplot.render_svg(plot_rows, spec), args.output)
+            times = [rec.time for rec in records]
+            _emit(svgplot.render_svg(times, series, spec), args.output)
         elif args.format == "json":
             payload = {"records": [rec.__dict__ for rec in records], "summary": summary}
             _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
@@ -345,7 +345,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config is not None:
             # config values become the subcommand's defaults, so flags still win
             command = commands[args.subcommand]
-            command.set_defaults(**_read_config(args.config, command))
+            command.set_defaults(**_read_config(args.config, command, args))
             args = parser.parse_args(argv)
         runner = {"scatter": run_scatter, "evolve": run_evolve, "algebra": run_algebra}
         return runner[args.subcommand](args)

@@ -1,6 +1,6 @@
 """Minimal deterministic SVG line plots.
 
-Hand-rolled on purpose: the output depends only on the input rows and the
+Hand-rolled on purpose: the output depends only on the arrays and the
 PlotSpec (no timestamps, no library version strings, no font metrics), so
 identical invocations are byte-identical and plots can be diffed in tests.
 """
@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
+
+import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 30.0
@@ -21,24 +24,12 @@ _MARGIN_BOTTOM = 46.0
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to draw: one x column against one or more y columns."""
+    """The labels of a plot and its dashed vertical rules (x, label)."""
 
-    x_column: str
-    y_columns: tuple[str, ...]
     title: str = ""
     x_label: str = ""
     y_label: str = ""
-    width: int = 640
-    height: int = 420
     vlines: tuple[tuple[float, str], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "y_columns", tuple(self.y_columns))
-        object.__setattr__(self, "vlines", tuple(self.vlines))
-        if not self.y_columns:
-            raise ValueError("at least one y column is required")
-        if self.width < 100 or self.height < 100:
-            raise ValueError("plot dimensions must be at least 100x100 pixels")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -66,37 +57,38 @@ def _tick_label(v: float) -> str:
     return format(v, "g")
 
 
-def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
-    """Render rows as an SVG document string (deterministic byte-for-byte).
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-    Points whose x or y is not finite are left out of the curves and of
-    the axis ranges.
+
+def render_svg(x: Sequence[float], series: Mapping[str, Sequence[float]],
+               spec: PlotSpec) -> str:
+    """Render each series of y values against x as an SVG document string
+    (deterministic byte-for-byte).
+
+    ``series`` maps legend labels to y arrays as long as ``x``; its order
+    sets the colours and the legend.  Points whose x or y is not finite
+    are left out of the curves and of the axis ranges.
     """
-    if len(rows) < 2:
-        raise ValueError(f"need at least 2 rows to plot, got {len(rows)}")
-    columns = (spec.x_column,) + spec.y_columns
-    for i, row in enumerate(rows):
-        for col in columns:
-            if col not in row:
-                raise ValueError(f"row {i} is missing column {col!r}")
+    if not series:
+        raise ValueError("at least one series is required")
+    xs = np.asarray(x, dtype=float)
+    if len(xs) < 2:
+        raise ValueError(f"need at least 2 rows to plot, got {len(xs)}")
+    finite_x = np.isfinite(xs)
+    curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for label, y in series.items():
+        ys = np.asarray(y, dtype=float)
+        if len(ys) != len(xs):
+            raise ValueError(f"series {label!r} has {len(ys)} values for {len(xs)} x values")
+        keep = finite_x & np.isfinite(ys)
+        if np.count_nonzero(keep) < 2:
+            raise ValueError(f"series {label!r} has fewer than 2 finite points")
+        curves[label] = (xs[keep], ys[keep])
 
-    xs = [float(row[spec.x_column]) for row in rows]
-    series: dict[str, list[tuple[float, float]]] = {}
-    all_y: list[float] = []
-    for col in spec.y_columns:
-        pts = [
-            (x, float(row[col]))
-            for x, row in zip(xs, rows)
-            if math.isfinite(x) and math.isfinite(float(row[col]))
-        ]
-        if len(pts) < 2:
-            raise ValueError(f"column {col!r} has fewer than 2 finite points")
-        series[col] = pts
-        all_y.extend(y for _, y in pts)
-
-    finite_xs = [x for x in xs if math.isfinite(x)]
-    x_lo, x_hi = min(finite_xs), max(finite_xs)
-    y_lo, y_hi = min(all_y), max(all_y)
+    x_lo, x_hi = float(xs[finite_x].min()), float(xs[finite_x].max())
+    y_lo = min(float(ys.min()) for _, ys in curves.values())
+    y_hi = max(float(ys.max()) for _, ys in curves.values())
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -106,19 +98,19 @@ def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
     y_lo -= y_pad
     y_hi += y_pad
 
-    plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<rect x="{_coord(_MARGIN_LEFT)}" y="{_coord(_MARGIN_TOP)}" '
         f'width="{_coord(plot_w)}" height="{_coord(plot_h)}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
@@ -160,14 +152,12 @@ def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
             out.append(
                 f'<text x="{_coord(p + 4)}" y="{_coord(_MARGIN_TOP + 12)}" '
                 f'font-size="11" font-family="sans-serif" fill="#555555">'
-                f"{escape(label)}</text>"
+                f"{_escape(label)}</text>"
             )
 
-    for i, col in enumerate(spec.y_columns):
+    for i, (xv, yv) in enumerate(curves.values()):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{_coord(px(x))},{_coord(py(y))}" for x, y in series[col]
-        )
+        points = " ".join("%.2f,%.2f" % p for p in zip(px(xv).tolist(), py(yv).tolist()))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'
@@ -175,7 +165,7 @@ def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
 
     legend_x = _MARGIN_LEFT + plot_w - 110
     legend_y = _MARGIN_TOP + 10
-    for i, col in enumerate(spec.y_columns):
+    for i, label in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         y = legend_y + 16 * i
         out.append(
@@ -185,19 +175,19 @@ def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
         )
         out.append(
             f'<text x="{_coord(legend_x + 26)}" y="{_coord(y + 4)}" font-size="11" '
-            f'font-family="sans-serif">{escape(col)}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
 
     if spec.title:
         out.append(
-            f'<text x="{_coord(spec.width / 2)}" y="20" font-size="14" '
-            f'font-family="sans-serif" text-anchor="middle">{escape(spec.title)}</text>'
+            f'<text x="{_coord(_WIDTH / 2)}" y="20" font-size="14" '
+            f'font-family="sans-serif" text-anchor="middle">{_escape(spec.title)}</text>'
         )
     if spec.x_label:
         out.append(
             f'<text x="{_coord(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_coord(spec.height - 8)}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="middle">{escape(spec.x_label)}</text>'
+            f'y="{_coord(_HEIGHT - 8)}" font-size="12" '
+            f'font-family="sans-serif" text-anchor="middle">{_escape(spec.x_label)}</text>'
         )
     if spec.y_label:
         cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
@@ -205,7 +195,7 @@ def render_svg(rows: Sequence[Mapping[str, float]], spec: PlotSpec) -> str:
             f'<text x="{_coord(cx)}" y="{_coord(cy)}" font-size="12" '
             f'font-family="sans-serif" text-anchor="middle" '
             f'transform="rotate(-90 {_coord(cx)} {_coord(cy)})">'
-            f"{escape(spec.y_label)}</text>"
+            f"{_escape(spec.y_label)}</text>"
         )
 
     out.append("</svg>")

@@ -125,6 +125,24 @@ class TestVerifyClifford:
         with pytest.raises(ValueError):
             verify_clifford(build_representation(1), -1e-3)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="finite"):
+            verify_clifford(build_representation(1), tolerance)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_fails_every_identity_it_breaks(self, bad):
+        beta = PAULI_Z.copy()
+        beta[1, 1] = bad
+        report = verify_clifford(DiracRepresentation(1, 2, (PAULI_X.copy(),), beta))
+        assert not report.passed
+        assert np.isnan(report.max_deviation)
+        assert [name for name, _ in report.failures] == [
+            "hermitian(beta)", "beta^2 = I", "{alpha_1, beta} = 0",
+            "trace(beta) = 0", "spectrum(beta) in {+1,-1}",
+        ]
+
     def test_conjugation_invariance(self):
         """Unitary conjugation preserves the algebra to near roundoff."""
         rng = np.random.default_rng(42)
@@ -235,3 +253,19 @@ class TestJsonRoundTrip:
         # row-major [re, im] pairs: sigma_x upper-right entry
         assert data["alphas"][0][0][1] == [1.0, 0.0]
         assert data["beta"][1][1] == [-1.0, 0.0]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["beta"],                                  # top-level array
+        lambda d: dict(d, beta=[["10", [0.0, 0.0]], d["beta"][1]]),
+        lambda d: dict(d, beta=[[None, [0.0, 0.0]], d["beta"][1]]),
+        lambda d: dict(d, beta=[[[1.0, 0.0, 0.0], [0.0, 0.0]], d["beta"][1]]),
+        lambda d: dict(d, beta=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+        lambda d: dict(d, beta=[[[float("nan"), 0.0], [0.0, 0.0]], d["beta"][1]]),
+        lambda d: dict(d, alphas=[[[[0.0, 0.0], [1.0, float("inf")]], d["beta"][1]]]),
+        lambda d: dict(d, n="1"),
+        lambda d: dict(d, alphas=None),
+    ])
+    def test_malformed_input_raises_value_error(self, corrupt):
+        data = json.loads(json.dumps(representation_to_json(build_representation(1))))
+        with pytest.raises(ValueError):
+            representation_from_json(corrupt(data))

@@ -221,6 +221,18 @@ class TestEvolve:
         svg = path.read_text()
         assert svg.count("<polyline") == 3  # p_left, p_right, norm
 
+    def test_zero_step_splits_at_x_step(self, tmp_path, capsys):
+        """With V0 = 0 the split still sits at --x-step: a step put at the
+        packet's centre halves the probability at the first record."""
+        path = tmp_path / "obs.csv"
+        assert main(["evolve", "--V0", "0", "--x-step", "-50", "--grid-n", "256",
+                     "--steps", "10", "--output", str(path)]) == 0
+        capsys.readouterr()
+        first = dict(zip(OBSERVABLES_CSV_HEADER.split(","),
+                         map(float, path.read_text().splitlines()[1].split(","))))
+        assert abs(first["p_left"] - 0.5) <= 0.05
+        assert first["current"] > 0.01
+
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         """Config supplies a Klein-zone setup; an explicit --steps flag must
         beat the config value."""
@@ -335,6 +347,29 @@ class TestAlgebra:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("text", [
+        '[1, 2]',
+        '{"n": 1, "dim": 2, "alphas": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],'
+        ' "beta": [[[1, 0], "10"], [[0, 0], [-1, 0]]]}',
+        '{"n": 1, "dim": 2, "alphas": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],'
+        ' "beta": [[[1, 0], null], [[0, 0], [-1, 0]]]}',
+        '{"n": 1, "dim": 2, "alphas": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],'
+        ' "beta": [[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}',
+    ])
+    def test_malformed_verify_json_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        assert main(["algebra", "--verify-json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, tolerance, capsys):
+        assert main(["algebra", "--n", "2", "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+
 class TestConfigFile:
     """Config values are the subcommand's defaults, checked as flags are."""
 
@@ -368,6 +403,27 @@ class TestConfigFile:
             main(["evolve", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, flag", [
+        ({"kc": 1.0}, ["--Ec", "3"]),
+        ({"Ec": 3.0}, ["--kc", "1"]),
+    ])
+    def test_energy_flag_beats_the_other_config_key(self, values, flag, tmp_path, capsys):
+        argv = ["evolve", "--V0", "1", "--grid-n", "256", "--steps", "10"] + flag
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_config_with_both_energy_keys_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"Ec": 3.0, "kc": 1.0}))
+        assert main(["evolve", "--grid-n", "256", "--steps", "10", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Ec" in captured.err
 
     def test_config_null_central_energy_means_default(self, tmp_path, capsys):
         argv = ["evolve", "--grid-n", "256", "--steps", "10"]
