@@ -10,6 +10,11 @@ which forces zero traces, eigenvalues +-1 and even matrix dimension.
 The minimal dimension is 2^ceil(n/2): two-component spinors suffice for
 n = 1 and n = 2, four components are needed from n = 3 on.
 
+verify_clifford checks each relation once: Hermiticity, M^2 = I, the
+anticommutator of every pair of matrices, and the trace.  The +-1
+spectrum needs no check of its own, since a Hermitian M with M^2 = I
+has no other eigenvalues.
+
 Everything here is exact: the recursive tensor-product construction only
 ever produces entries in {0, +-1, +-i}, so the verification residuals of
 a built representation are exactly zero in floating point.
@@ -17,6 +22,7 @@ a built representation are exactly zero in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,39 +135,28 @@ def verify_clifford(
 ) -> VerificationReport:
     """Check every defining identity of the representation.
 
-    Checks, in order: Hermiticity, squares equal to I, all pairwise
-    anticommutators, zero traces, and the spectrum condition via the
-    polynomial identity (M - I)(M + I) = 0 (no eigensolver involved).
-    A structural problem (mismatched dimensions) raises; a violated
-    identity is reported, not raised.
+    Checks, in order: Hermiticity, squares equal to I, the anticommutator
+    of every pair of rep.matrices() in pair order ({alpha_1, alpha_2},
+    ..., {alpha_1, beta}, {alpha_2, alpha_3}, ...), and zero traces; that
+    is (n+1)^2 matrix products.  Failures are listed in that order.  A
+    violated identity is reported, not raised.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     named = rep.matrices()
-    shape = (rep.dim, rep.dim)
-    for name, m in named:
-        if m.shape != shape:
-            raise ValueError(f"{name} has shape {m.shape}, expected {shape}")
     eye = np.eye(rep.dim, dtype=complex)
 
     deviations: list[tuple[str, float]] = []
-    for name, m in named:
-        deviations.append((f"hermitian({name})", _max_abs(m - m.conj().T)))
-    for name, m in named:
-        deviations.append((f"{name}^2 = I", _max_abs(m @ m - eye)))
-    for i in range(rep.n):
-        for j in range(i + 1, rep.n):
-            resid = rep.alphas[i] @ rep.alphas[j] + rep.alphas[j] @ rep.alphas[i]
-            deviations.append((f"{{alpha_{i + 1}, alpha_{j + 1}}} = 0", _max_abs(resid)))
-    for i in range(rep.n):
-        resid = rep.alphas[i] @ rep.beta + rep.beta @ rep.alphas[i]
-        deviations.append((f"{{alpha_{i + 1}, beta}} = 0", _max_abs(resid)))
-    for name, m in named:
-        deviations.append((f"trace({name}) = 0", abs(complex(np.trace(m)))))
-    for name, m in named:
-        deviations.append(
-            (f"spectrum({name}) in {{+1,-1}}", _max_abs((m - eye) @ (m + eye)))
-        )
+    # an inf or huge entry gives inf/NaN residuals, which the report carries
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, m in named:
+            deviations.append((f"hermitian({name})", _max_abs(m - m.conj().T)))
+        for name, m in named:
+            deviations.append((f"{name}^2 = I", _max_abs(m @ m - eye)))
+        for (name_a, a), (name_b, b) in itertools.combinations(named, 2):
+            deviations.append((f"{{{name_a}, {name_b}}} = 0", _max_abs(a @ b + b @ a)))
+        for name, m in named:
+            deviations.append((f"trace({name}) = 0", abs(complex(np.trace(m)))))
 
     # written so that a NaN residual (from a NaN or inf entry) fails
     max_deviation = float(np.max([dev for _, dev in deviations]))
@@ -175,7 +170,8 @@ def verify_clifford(
 
 
 def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    # dtype=complex also encodes int or float matrices a caller built
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def _matrix_from_json(name: str, rows: list) -> np.ndarray:
@@ -208,6 +204,10 @@ def representation_from_json(data: dict) -> DiracRepresentation:
     """
     if not isinstance(data, dict):
         raise ValueError(f"a representation must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("n", "dim", "alphas", "beta") if key not in data]
+    if missing:
+        raise ValueError("a representation needs keys n, dim, alphas and beta; "
+                         f"missing: {', '.join(missing)}")
     for key in ("n", "dim"):
         if type(data[key]) is not int:
             raise ValueError(f"{key} must be an integer, got {data[key]!r}")

@@ -274,7 +274,8 @@ def run_evolve(args: argparse.Namespace) -> int:
         "p_right_final": records[-1].p_right,
         "norm_drift": abs(records[-1].norm - records[0].norm),
     }
-    if coupling is not Coupling.PSEUDOSCALAR:
+    # the closed form needs a massive incident wave and a vector or scalar step
+    if coupling is not Coupling.PSEUDOSCALAR and m0 > 0:
         try:
             res = scattering.amplitudes(
                 ScatteringQuery(E=e_c, V0=V0, m0=m0, coupling=coupling))

@@ -10,11 +10,13 @@ enters the Dirac equation:
                 dynamics module treats it numerically)
 
 The closed-form solution is expressed through two kinematic factors,
-the lower/upper spinor-component ratios on each side of the step:
+the lower/upper spinor-component ratios on each side of the step.  The
+step enters only through one substitution, written once (_channel): on
+the transmitted side the pair (omega, mass) is (E - V0, m0) for a vector
+step and (E, m0 + V0) for a scalar one, and
 
     a = sqrt(E^2 - m0^2) / (E + m0)
-    b = sqrt((E-V0)^2 - m0^2) / (E - V0 + m0)        (vector)
-    b = sqrt(E^2 - (m0+V0)^2) / (E + m0 + V0)        (scalar)
+    b = sqrt(omega^2 - mass^2) / (omega + mass)
 
 with the principal square root throughout: a negative radicand gives
 +i*sqrt(|.|) (the decaying evanescent branch).  Matching the spinor at
@@ -80,11 +82,6 @@ class Regime(str, Enum):
     KLEIN_ZONE = "klein_zone"
 
 
-_NO_CLOSED_FORM = (
-    "pseudoscalar coupling has no closed-form step solution; use the dynamics module"
-)
-
-
 class SingularConfigurationError(ValueError):
     """Raised at isolated degenerate parameter points (0/0 kinematics)."""
 
@@ -142,12 +139,27 @@ def incident_factor(E: float, m0: float) -> float:
     return math.sqrt(E * E - m0 * m0) / (E + m0)
 
 
+def _channel(coupling: Coupling, E, V0, m0):
+    """The (omega, mass) pair on the transmitted side of the step.
+
+    A vector step shifts the energy, (E - V0, m0); a scalar step shifts the
+    mass, (E, m0 + V0).  Works on floats and numpy arrays alike, and is the
+    one place that refuses pseudoscalar coupling.
+    """
+    if coupling is Coupling.VECTOR:
+        return E - V0, m0
+    if coupling is Coupling.SCALAR:
+        return E, m0 + V0
+    raise ValueError(
+        "pseudoscalar coupling has no closed-form step solution; use the dynamics module")
+
+
 def _step_factor(omega: float, mass: float) -> complex:
     """Principal-root kinematic factor sqrt(omega^2 - mass^2)/(omega + mass).
 
-    Both branches (vector and scalar) reduce to this with the appropriate
-    (omega, mass) pair, which makes the scalar substitution m0 -> m0 + V0
-    literally the same code path.
+    Both couplings reduce to this with their (omega, mass) pair from
+    _channel, which makes the scalar substitution m0 -> m0 + V0 literally
+    the same code path.
     """
     radicand = omega * omega - mass * mass
     denominator = omega + mass
@@ -177,12 +189,7 @@ def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> co
         raise ValueError(f"m0 must be positive, got {m0}")
     if not E > m0:
         raise ValueError(f"incident wave below threshold: E={E}, m0={m0}")
-    coupling = Coupling(coupling)
-    if coupling is Coupling.VECTOR:
-        return _step_factor(E - V0, m0)
-    if coupling is Coupling.SCALAR:
-        return _step_factor(E, m0 + V0)
-    raise ValueError(_NO_CLOSED_FORM)
+    return _step_factor(*_channel(Coupling(coupling), E, V0, m0))
 
 
 def coefficients(a: float, b: complex, R: complex, T: complex) -> tuple[float, float]:
@@ -203,25 +210,22 @@ def coefficients(a: float, b: complex, R: complex, T: complex) -> tuple[float, f
     return r, t
 
 
+def _regime(omega: float, mass: float) -> Regime:
+    # the radicand and denominator of _step_factor, so the label always
+    # agrees with the branch b took
+    if omega * omega - mass * mass > 0.0:
+        return Regime.TRANSMISSION if omega + mass > 0.0 else Regime.KLEIN_ZONE
+    return Regime.EVANESCENT
+
+
 def classify_regime(q: ScatteringQuery) -> Regime:
     """Transmission / evanescent / Klein-zone classification.
 
     Vector: Transmission iff E - V0 > m0; KleinZone iff V0 > E + m0;
     Evanescent otherwise (boundaries included).  Scalar: Transmission iff
-    E > |m0 + V0|, Evanescent otherwise; no Klein zone exists.  The test
-    uses the same radicand/denominator arithmetic as transmitted_factor,
-    so the label always agrees with the branch b actually took.
+    E > |m0 + V0|, Evanescent otherwise; no Klein zone exists.
     """
-    if q.coupling is Coupling.VECTOR:
-        omega, mass = q.E - q.V0, q.m0
-    elif q.coupling is Coupling.SCALAR:
-        omega, mass = q.E, q.m0 + q.V0
-    else:
-        raise ValueError("pseudoscalar coupling has no closed-form regime")
-    radicand = omega * omega - mass * mass
-    if radicand > 0.0:
-        return Regime.TRANSMISSION if omega + mass > 0.0 else Regime.KLEIN_ZONE
-    return Regime.EVANESCENT
+    return _regime(*_channel(q.coupling, q.E, q.V0, q.m0))
 
 
 def amplitudes(q: ScatteringQuery) -> ScatteringResult:
@@ -231,10 +235,9 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     holds by construction.  Raises SingularConfigurationError at the
     isolated degenerate points where a + b = 0 or b is a 0/0 limit.
     """
-    if q.coupling is Coupling.PSEUDOSCALAR:
-        raise ValueError(_NO_CLOSED_FORM)
+    omega, mass = _channel(q.coupling, q.E, q.V0, q.m0)
     a = incident_factor(q.E, q.m0)
-    b = transmitted_factor(q.E, q.V0, q.m0, q.coupling)
+    b = _step_factor(omega, mass)
     if a + b == 0:
         raise SingularConfigurationError(
             f"a + b = 0 at E={q.E}, V0={q.V0}, m0={q.m0}: amplitudes diverge"
@@ -242,7 +245,7 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     R = (a - b) / (a + b)
     T = 2 * a / (a + b)
     r, t = coefficients(a, b, R, T)
-    return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=classify_regime(q))
+    return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=_regime(omega, mass))
 
 
 @dataclass(frozen=True)
@@ -303,16 +306,11 @@ class SweepTable(Sequence[SweepRow]):
 
     def __init__(self, E, V0, m0, coupling: Coupling):
         self.coupling = Coupling(coupling)
-        if self.coupling is Coupling.PSEUDOSCALAR:
-            raise ValueError(_NO_CLOSED_FORM)
         E, V0, m0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
                                           for x in (E, V0, m0)))
         self.E, self.V0, self.m0 = E, V0, m0
         with np.errstate(all="ignore"):
-            if self.coupling is Coupling.VECTOR:
-                omega, mass = E - V0, m0
-            else:
-                omega, mass = E, m0 + V0
+            omega, mass = _channel(self.coupling, E, V0, m0)
             radicand = omega * omega - mass * mass
             denominator = omega + mass
             propagating = radicand >= 0.0
@@ -338,23 +336,20 @@ class SweepTable(Sequence[SweepRow]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._row(i) for i in range(*index.indices(len(self)))]
+            return self._rows(index)
         i = operator.index(index)
         if not -len(self) <= i < len(self):
             raise IndexError(f"row {index} out of range for {len(self)} rows")
-        return self._row(i % len(self))
+        i %= len(self)
+        return self._rows(slice(i, i + 1))[0]
 
     def __iter__(self) -> Iterator[SweepRow]:
-        columns = self._columns()
         for start in range(0, len(self), _ROW_CHUNK):
-            chunk = [column[start:start + _ROW_CHUNK].tolist() for column in columns]
-            yield from map(self._make_row, *chunk)
+            yield from self._rows(slice(start, start + _ROW_CHUNK))
 
-    def _columns(self) -> list[np.ndarray]:
-        return [self.E, self.V0, self.m0, self.error, self.regime, *self.values.values()]
-
-    def _row(self, i: int) -> SweepRow:
-        return self._make_row(*(column.item(i) for column in self._columns()))
+    def _rows(self, index: slice) -> list[SweepRow]:
+        columns = (self.E, self.V0, self.m0, self.error, self.regime, *self.values.values())
+        return list(map(self._make_row, *(column[index].tolist() for column in columns)))
 
     def _make_row(self, E, V0, m0, error, regime, a, re_b, im_b, re_R, im_R, re_T, im_T,
                   r, t) -> SweepRow:
@@ -395,8 +390,6 @@ def sweep(
         raise ValueError(f"need start < stop, got {start} .. {stop}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    if base.coupling is Coupling.PSEUDOSCALAR:
-        raise ValueError("pseudoscalar coupling cannot be swept in closed form")
     grid = {"E": base.E, "V0": base.V0, "m0": base.m0}
     with np.errstate(over="ignore", invalid="ignore"):
         # a span past the float range gives NaN/inf grid values: error rows

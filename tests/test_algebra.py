@@ -140,8 +140,25 @@ class TestVerifyClifford:
         assert np.isnan(report.max_deviation)
         assert [name for name, _ in report.failures] == [
             "hermitian(beta)", "beta^2 = I", "{alpha_1, beta} = 0",
-            "trace(beta) = 0", "spectrum(beta) in {+1,-1}",
+            "trace(beta) = 0",
         ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_overflowing_entry_warns_nothing(self, bad):
+        beta = PAULI_Z.copy()
+        beta[1, 1] = bad
+        report = verify_clifford(DiracRepresentation(1, 2, (PAULI_X.copy(),), beta))
+        assert not report.passed
+
+    def test_failures_follow_the_pair_order(self):
+        """alpha_3 := alpha_2 and beta := alpha_1 break exactly {alpha_1, beta}
+        and {alpha_2, alpha_3}; the pairs are listed in the order of
+        rep.matrices(), and squares (so the spectrum) hold."""
+        a1, a2, _ = build_representation(3).alphas
+        report = verify_clifford(DiracRepresentation(3, 4, (a1, a2, a2), a1))
+        assert report.failures == [("{alpha_1, beta} = 0", 2.0),
+                                   ("{alpha_2, alpha_3} = 0", 2.0)]
 
     def test_conjugation_invariance(self):
         """Unitary conjugation preserves the algebra to near roundoff."""
@@ -254,6 +271,17 @@ class TestJsonRoundTrip:
         assert data["alphas"][0][0][1] == [1.0, 0.0]
         assert data["beta"][1][1] == [-1.0, 0.0]
 
+    @pytest.mark.parametrize("matrix", [
+        np.array([[1, 2], [-3, 0]]),
+        np.array([[0.1, -0.0], [1e-300, -2.5]]),
+        (PAULI_Y + 0.25j * PAULI_X).T,  # not C-contiguous
+    ], ids=["int", "float64", "complex-transposed"])
+    def test_encoding_is_the_re_im_pair_of_each_entry(self, matrix):
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        rep = DiracRepresentation(1, 2, (matrix,), matrix)
+        assert json.dumps(representation_to_json(rep), sort_keys=True) == json.dumps(
+            {"n": 1, "dim": 2, "alphas": [pairs], "beta": pairs}, sort_keys=True)
+
     @pytest.mark.parametrize("corrupt", [
         lambda d: d["beta"],                                  # top-level array
         lambda d: dict(d, beta=[["10", [0.0, 0.0]], d["beta"][1]]),
@@ -264,6 +292,8 @@ class TestJsonRoundTrip:
         lambda d: dict(d, alphas=[[[[0.0, 0.0], [1.0, float("inf")]], d["beta"][1]]]),
         lambda d: dict(d, n="1"),
         lambda d: dict(d, alphas=None),
+        lambda d: {key: value for key, value in d.items() if key != "n"},
+        lambda d: {key: value for key, value in d.items() if key != "beta"},
     ])
     def test_malformed_input_raises_value_error(self, corrupt):
         data = json.loads(json.dumps(representation_to_json(build_representation(1))))

@@ -92,6 +92,13 @@ class TestScatterSingle:
                     "r": res.r, "t": res.t, "regime": "klein_zone"}
         assert json_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("argv", [[], ["--sweep", "V0:0:4:5"]])
+    def test_pseudoscalar_exits_2(self, argv, capsys):
+        assert main(["scatter", "--E", "2", "--coupling", "pseudoscalar"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "pseudoscalar" in captured.err
+
     def test_svg_without_sweep_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.svg"
         assert main(["scatter", "--E", "2", "--output", str(path),
@@ -232,6 +239,20 @@ class TestEvolve:
                          map(float, path.read_text().splitlines()[1].split(","))))
         assert abs(first["p_left"] - 0.5) <= 0.05
         assert first["current"] > 0.01
+
+    @pytest.mark.parametrize("argv", [
+        ["--m0", "0"], ["--coupling", "pseudoscalar"], ["--m0", "0", "--coupling", "scalar"],
+    ])
+    def test_summary_without_closed_form_omits_the_reference(self, argv, tmp_path, capsys):
+        """A massless or pseudoscalar run has no closed-form reference: it
+        still runs and writes its records, and the summary has no analytic_*."""
+        path = tmp_path / "obs.csv"
+        assert main(["evolve", "--grid-n", "256", "--steps", "10", "--output", str(path)]
+                    + argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert set(summary) == {"p_left_final", "p_right_final", "norm_drift"}
+        assert summary["norm_drift"] <= 1e-12
+        assert len(path.read_text().splitlines()) == 3  # header + records at 0, 10
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         """Config supplies a Klein-zone setup; an explicit --steps flag must

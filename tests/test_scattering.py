@@ -267,6 +267,17 @@ class TestClassifyRegime:
                 assert (res.r > 1.0 + 1e-12) == (res.regime is Regime.KLEIN_ZONE)
 
 
+@pytest.mark.parametrize("refuse", [
+    classify_regime,
+    lambda q: SweepTable(q.E, q.V0, q.m0, q.coupling),
+    lambda q: sweep(q, "V0", 0.0, 4.0, 5),
+], ids=["classify_regime", "SweepTable", "sweep"])
+def test_pseudoscalar_has_no_closed_form(refuse):
+    """transmitted_factor and amplitudes refuse it too (tested above)."""
+    with pytest.raises(ValueError, match="pseudoscalar"):
+        refuse(ScatteringQuery(E=2.0, V0=1.0, coupling="pseudoscalar"))
+
+
 class TestSweep:
     def test_regime_partition_example(self):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
@@ -347,6 +358,25 @@ class TestSweep:
         sweep_to_csv(rows, buf)
         error_line = buf.getvalue().splitlines()[2]
         assert error_line.endswith(",error")
+
+    def test_index_slice_and_iteration_build_the_same_rows(self):
+        """table[i], table[a:b:s] and iteration agree row for row, on the
+        error row at V0 = 2.5, negative indices and the iterator's chunk
+        boundary at 4096 rows."""
+        table = sweep(ScatteringQuery(E=1.5, V0=0.0, m0=1.0), "V0", 2.0, 3.0, 9)
+        rows = list(table)
+        assert rows[4].error is not None and rows[3].result is not None
+        assert [table[i] for i in range(-9, 9)] == rows + rows
+        for index in (slice(None), slice(2, 7), slice(-3, None), slice(None, None, -2),
+                      slice(7, 1, -3), slice(1, 100, 4), slice(5, 5)):
+            assert table[index] == rows[index]
+        for i in (9, -10):
+            with pytest.raises(IndexError):
+                table[i]
+        long = sweep(ScatteringQuery(E=1.5, V0=0.0, m0=1.0), "V0", 0.0, 4.0, 4101)
+        rows = list(long)
+        assert long[:] == rows and long[4090:4101:3] == rows[4090:4101:3]
+        assert [long[i] for i in (4095, 4096, -1)] == [rows[4095], rows[4096], rows[-1]]
 
 
 def _hex_fields(res):
