@@ -248,7 +248,20 @@ def run_evolve(args: argparse.Namespace) -> int:
         coupling=coupling, v0=V0,
         x_step=float(args.x_step), smoothing=float(args.smoothing),
     )
-    state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=float(args.sigma), m0=m0)
+    sigma = float(args.sigma)
+    state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=sigma, m0=m0)
+
+    # Nothing moves faster than 1, so by t_end the forward front is at most
+    # x_c + 5 sigma + t_end and a wave reflected at a step inside the domain
+    # at least 2 x_step - x_c - 5 sigma - t_end (with no step inside, the
+    # rear stays at x_c - 5 sigma).  Past an edge the periodic domain brings
+    # a front back in at the other end.  The warning waits for the run, so
+    # that parameters evolve refuses print only their error.
+    t_end = int(args.steps) * float(args.dt)
+    forward = x_c + 5.0 * sigma + t_end
+    reflected = (2.0 * profile.x_step - forward if profile.x_step > grid.x0
+                 else x_c - 5.0 * sigma)
+    wrapped = forward >= grid.x0 + grid.length or reflected <= grid.x0
 
     snapshot_dir = None
     if args.snapshots:
@@ -283,6 +296,12 @@ def run_evolve(args: argparse.Namespace) -> int:
             summary["analytic_t"] = res.t
         except SingularConfigurationError:
             pass  # degenerate point: no analytic reference to report
+    if wrapped:
+        summary["wrapped"] = True
+        print(f"warning: by t={_g(t_end)} the packet can cross the periodic edge "
+              f"(fronts at x={_g(reflected)} and x={_g(forward)}, domain "
+              f"[{_g(grid.x0)}, {_g(grid.x0 + grid.length)})): p_left and p_right "
+              "mix the waves of both ends", file=sys.stderr)
 
     # records go to a file; bare stdout stays pure summary JSON
     if args.output is not None:

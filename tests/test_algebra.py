@@ -7,7 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from diracstep import algebra
 from diracstep.algebra import (
+    _dense_residuals,
+    _monomial,
+    _report,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -177,6 +181,127 @@ class TestVerifyClifford:
             report = verify_clifford(conj, 1e-10)
             assert report.passed, report.failures
             assert report.max_deviation > 0.0  # genuinely floating now
+
+
+def _replace(rep: DiracRepresentation, index: int, matrix: np.ndarray) -> DiracRepresentation:
+    """rep with matrix number index of rep.matrices() (beta last) replaced."""
+    mats = [m for _, m in rep.matrices()]
+    mats[index] = matrix
+    return DiracRepresentation(rep.n, rep.dim, tuple(mats[:-1]), mats[-1])
+
+
+def _phase_times_i(m):
+    out = m.copy()
+    out[1, np.flatnonzero(out[1])] *= 1j
+    return out
+
+
+def _rows_swapped(m):
+    return m[[1, 0, *range(2, len(m))]]
+
+
+def _entry(m, row, col, value):
+    out = m.copy()
+    out[row, col] = value
+    return out
+
+
+class TestMonomialPath:
+    """Built matrices are monomial with phases in {+-1, +-i}; verify_clifford
+    then computes its residuals from (column, phase) arrays, and its report
+    must be the one the dense products give."""
+
+    @staticmethod
+    def _dense_report(rep, tolerance):
+        return _report(_dense_residuals(rep.matrices()), tolerance)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_built_representation_matches_dense(self, n, monkeypatch):
+        rep = build_representation(n)
+        assert all(_monomial(m) is not None for _, m in rep.matrices())
+        dense = {tolerance: self._dense_report(rep, tolerance) for tolerance in (0.0, 1e-12)}
+        # a built set never reaches the dense products
+        monkeypatch.setattr(algebra, "_dense_residuals", None)
+        for tolerance, dense_report in dense.items():
+            report = verify_clifford(rep, tolerance)
+            assert report == dense_report
+            assert report.passed and report.max_deviation == 0.0
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("corrupt", [
+        lambda rep: _replace(rep, 1, _phase_times_i(rep.alphas[1])),
+        lambda rep: _replace(rep, 0, _rows_swapped(rep.alphas[0])),
+        lambda rep: _replace(rep, rep.n, _entry(rep.beta, 0, 0, -rep.beta[0, 0])),
+        lambda rep: _replace(rep, rep.n - 1, rep.beta),
+    ], ids=["phase-times-i", "rows-swapped", "beta-diagonal-negated", "alpha-is-beta"])
+    def test_corrupted_monomial_set_matches_dense(self, n, corrupt):
+        rep = corrupt(build_representation(n))
+        assert all(_monomial(m) is not None for _, m in rep.matrices())
+        report = verify_clifford(rep, 1e-12)
+        assert not report.passed
+        assert report == self._dense_report(rep, 1e-12)
+
+    def test_negated_beta_diagonal_entry_breaks_the_trace(self):
+        rep = build_representation(4)
+        report = verify_clifford(_replace(rep, 4, _entry(rep.beta, 0, 0, -rep.beta[0, 0])))
+        assert dict(report.failures)["trace(beta) = 0"] == 2.0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: _entry(m, 0, 0, 2.0),
+        lambda m: _entry(m, 0, 0, -2.0),
+        lambda m: _entry(m, 0, 0, 0.6 + 0.8j),
+        lambda m: _entry(m, 0, 1, 1.0),
+        lambda m: _entry(_entry(m, 1, 1, 0.0), 0, 1, 1.0),
+        lambda m: _entry(_entry(m, 1, 1, 0.0), 1, 0, 1.0),
+        lambda m: _entry(m, 0, 0, np.nan),
+        lambda m: _entry(m, 0, 0, complex(0.0, np.inf)),
+    ], ids=["plus-2", "minus-2", "0.6+0.8i", "two-in-a-row", "two-in-a-row-one-empty",
+            "two-in-a-column", "nan", "inf"])
+    def test_other_matrices_take_the_dense_path(self, corrupt):
+        rep = build_representation(4)  # beta = diag(1, 1, -1, -1)
+        beta = corrupt(rep.beta)
+        assert _monomial(beta) is None
+        assert not verify_clifford(_replace(rep, 4, beta)).passed
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float64, np.int64])
+    def test_other_dtypes_take_the_dense_path(self, dtype):
+        """Sets of another dtype get the report of their own dtype's
+        products: alpha_1 with an entry times -1 fails Hermiticity."""
+        x, z = (np.real(m).astype(dtype) for m in (PAULI_X, PAULI_Z))
+        rep = DiracRepresentation(1, 2, (_entry(x, 0, 1, -1),), z)
+        assert _monomial(rep.alphas[0]) is None and _monomial(rep.beta) is None
+        report = verify_clifford(rep)
+        assert report == self._dense_report(rep, 1e-12)
+        assert report.failures == [("hermitian(alpha_1)", 2.0), ("alpha_1^2 = I", 2.0)]
+
+    def test_complex64_residual_rounds_in_complex64(self):
+        """A residual of modulus sqrt(2) rounds differently in complex64
+        products than the complex128 arrays would give it."""
+        rep = build_representation(4)
+        rep = DiracRepresentation(4, 4, tuple(a.astype(np.complex64) for a in rep.alphas),
+                                  rep.beta.astype(np.complex64))
+        rep = _replace(rep, 0, _phase_times_i(rep.alphas[0]))
+        report = verify_clifford(rep)
+        assert report == self._dense_report(rep, 1e-12)
+        assert dict(report.failures)["hermitian(alpha_1)"] == float(np.float32(np.sqrt(2.0)))
+
+    def test_conjugated_set_takes_the_dense_path_and_passes(self):
+        rep = build_representation(5)
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        conj = DiracRepresentation(5, 8, tuple(u @ a @ u.conj().T for a in rep.alphas),
+                                   u @ rep.beta @ u.conj().T)
+        assert all(_monomial(m) is None for _, m in conj.matrices())
+        report = verify_clifford(conj, 1e-10)
+        assert report == self._dense_report(conj, 1e-10)
+        assert report.passed and 0.0 < report.max_deviation <= 1e-10
+
+    def test_json_round_trip_stays_monomial(self):
+        text = json.dumps(representation_to_json(build_representation(14)))
+        back = representation_from_json(json.loads(text))
+        assert all(_monomial(m) is not None for _, m in back.matrices())
+        report = verify_clifford(back, 0.0)
+        assert report.passed and report.max_deviation == 0.0
 
 
 class TestMinimalityOracle:

@@ -254,6 +254,30 @@ class TestEvolve:
         assert summary["norm_drift"] <= 1e-12
         assert len(path.read_text().splitlines()) == 3  # header + records at 0, 10
 
+    @pytest.mark.parametrize("argv", [
+        ["--V0", "0.5", "--Ec", "2", "--steps", "6000"],  # forward front at 215 > 100
+        ["--V0", "4", "--Ec", "2", "--x-step", "-30"],     # reflected front at -135 < -100
+    ], ids=["forward", "reflected"])
+    def test_run_that_can_cross_the_periodic_edge_warns(self, argv, capsys):
+        assert main(["evolve"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning:") and "periodic edge" in captured.err
+        summary = json.loads(captured.out)
+        assert summary["wrapped"] is True
+        if argv[-1] == "6000":
+            # what the flag is for: the wrapped packet reads as reflected
+            assert summary["p_right_final"] < 0.1 < 0.9 < summary["analytic_t"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--coupling", "vector", "--V0", "4", "--Ec", "2"],  # README: forward front at 75
+        ["--V0", "0.5", "--x-step", "-150", "--grid-n", "256", "--steps", "10"],  # no step inside
+    ], ids=["readme", "step-left-of-domain"])
+    def test_run_inside_the_domain_does_not_warn(self, argv, capsys):
+        assert main(["evolve"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "wrapped" not in json.loads(captured.out)
+
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         """Config supplies a Klein-zone setup; an explicit --steps flag must
         beat the config value."""
