@@ -3,9 +3,10 @@
 All physics flags are in natural units (hbar = c = 1) with m0 defaulting
 to 1.  Every parameter and its default is declared once, on its flag.  A
 JSON config file (--config) can stand in for flags: its values become the
-subcommand's defaults, so explicitly given flags win over them.  Output
-files are written atomically (temp file + rename), so no partial artifacts
-are left behind.
+subcommand's defaults as the text of their flags, so explicit flags win
+over them and each value is converted or refused by its flag's own type
+(a JSON boolean only for the snapshots switch).  Every artifact streams
+into a temp file that replaces its path only when the writer finishes.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
 verification), 2 invalid parameters (non-finite values included).
@@ -14,16 +15,16 @@ verification), 2 invalid parameters (non-finite values included).
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import Any, Sequence
+from typing import IO, Any, Iterator, Sequence
 
 from . import algebra, dynamics, scattering, svgplot
-from .scattering import Coupling, ScatteringQuery, SingularConfigurationError
+from .scattering import Coupling, ScatteringQuery
 
 
 _FORMATS = ("csv", "svg", "json")
@@ -104,9 +105,13 @@ def _add_step_arguments(p: argparse.ArgumentParser) -> None:
 
 def _read_config(path: str, command: argparse.ArgumentParser,
                  flags: argparse.Namespace) -> dict[str, Any]:
-    """The JSON object of a --config file, checked against the destinations
-    and defaults of the subcommand's parser, less the energy key an
-    explicit --Ec or --kc flag overrides."""
+    """The JSON object of a --config file as defaults for the subcommand's
+    parser, less the energy key an explicit --Ec or --kc flag overrides.
+
+    Each non-null value is handed over as the text of its flag, so argparse
+    converts it with the flag's own type, or stops with its usage line, as
+    it would the flag; a switch takes a JSON boolean as it is.
+    """
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
@@ -116,9 +121,13 @@ def _read_config(path: str, command: argparse.ArgumentParser,
     unknown = sorted(set(values) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    nulls = sorted(k for k, v in values.items() if v is None and defaults[k] is not None)
-    if nulls:
-        raise ValueError(f"config keys cannot be null: {', '.join(nulls)}")
+    for key, value in values.items():
+        switch = isinstance(defaults[key], bool)
+        kinds = (bool,) if switch else (str, int, float)
+        # null stands for "no value" only where the flag's default is none
+        if type(value) not in kinds and not (value is None and defaults[key] is None):
+            kind = "true or false" if switch else "a number or a string"
+            raise ValueError(f"config key {key} must be {kind}, got {json.dumps(value)}")
     if "format" in values and values["format"] not in _FORMATS:
         raise ValueError(f"config format must be one of {', '.join(_FORMATS)}, "
                          f"got {values['format']!r}")
@@ -128,26 +137,26 @@ def _read_config(path: str, command: argparse.ArgumentParser,
     if any(getattr(flags, key, None) is not None for key in _ENERGY_KEYS):
         for key in _ENERGY_KEYS:
             values.pop(key, None)
-    return values
+    return {k: v if v is None or isinstance(v, bool) else str(v) for k, v in values.items()}
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-diracstep-")
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The stream an artifact is written to: stdout when path is None, else
+    a temp file beside path that replaces it once the writer finishes and
+    is removed if the writer raises."""
+    if path is None:
+        yield sys.stdout  # looked up now: callers may have redirected it
+        return
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                    prefix=".tmp-diracstep-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
         raise
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
 
 
 def _g(x: float) -> str:
@@ -168,11 +177,10 @@ def run_scatter(args: argparse.Namespace) -> int:
     if args.E is None:
         raise ValueError("scatter requires --E")
     coupling = Coupling(args.coupling)
-    E, V0, m0 = float(args.E), float(args.V0), float(args.m0)
+    E, V0, m0 = args.E, args.V0, args.m0
 
     if args.sweep is None:
-        q = ScatteringQuery(E=E, V0=V0, m0=m0, coupling=coupling)
-        res = scattering.amplitudes(q)
+        res = scattering.amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling=coupling))
         print(
             f"E={_g(E)} V0={_g(V0)} m0={_g(m0)} coupling={coupling.value} "
             f"a={_g(res.a)} re_b={_g(res.b.real)} im_b={_g(res.b.imag)} "
@@ -180,44 +188,35 @@ def run_scatter(args: argparse.Namespace) -> int:
             f"re_T={_g(res.T.real)} im_T={_g(res.T.imag)} "
             f"r={_g(res.r)} t={_g(res.t)} regime={res.regime.value}"
         )
-        if args.output is not None:
-            if args.format not in ("csv", "json"):
-                raise ValueError("svg output needs a sweep (a single point is not a curve)")
-            _emit_table(scattering.SweepTable(E, V0, m0, coupling), args.format,
-                        args.output, single=True)
-        return 0
-
-    axis, start, stop, steps = _parse_sweep(args.sweep)
-    base = _sweep_base(E, V0, m0, coupling, axis)
-    table = scattering.sweep(base, axis, start, stop, steps)
-
-    if args.format in ("csv", "json"):
-        _emit_table(table, args.format, args.output)
+        if args.output is None:
+            return 0
+        if args.format == "svg":
+            raise ValueError("svg output needs a sweep (a single point is not a curve)")
+        table = scattering.SweepTable(E, V0, m0, coupling)
     else:
-        ok = ~table.error  # error rows may hold finite garbage (e.g. m0 <= 0)
-        vlines: tuple[tuple[float, str], ...] = ()
-        if coupling is Coupling.VECTOR:
-            if axis == "V0":
-                vlines = ((E + m0, "V0 = E + m0"),)
-            elif axis == "E":
-                vlines = ((V0 - m0, "E = V0 - m0"),)
-        spec = svgplot.PlotSpec(
-            title=f"step scattering, {coupling.value} coupling",
-            x_label=axis, y_label="coefficient", vlines=vlines,
-        )
-        series = {"r": table.values["r"][ok], "t": table.values["t"][ok]}
-        _emit(svgplot.render_svg(getattr(table, axis)[ok], series, spec), args.output)
+        axis, start, stop, steps = _parse_sweep(args.sweep)
+        table = scattering.sweep(_sweep_base(E, V0, m0, coupling, axis), axis, start, stop, steps)
+
+    with _output(args.output) as out:
+        if args.format == "csv":
+            scattering.sweep_to_csv(table, out)
+        elif args.format == "json":
+            scattering.sweep_to_json(table, out, single=args.sweep is None)
+        else:
+            ok = ~table.error  # error rows may hold finite garbage (e.g. m0 <= 0)
+            vlines: tuple[tuple[float, str], ...] = ()
+            if coupling is Coupling.VECTOR:
+                if axis == "V0":
+                    vlines = ((E + m0, "V0 = E + m0"),)
+                elif axis == "E":
+                    vlines = ((V0 - m0, "E = V0 - m0"),)
+            spec = svgplot.PlotSpec(
+                title=f"step scattering, {coupling.value} coupling",
+                x_label=axis, y_label="coefficient", vlines=vlines,
+            )
+            series = {"r": table.values["r"][ok], "t": table.values["t"][ok]}
+            out.write(svgplot.render_svg(getattr(table, axis)[ok], series, spec))
     return 0
-
-
-def _emit_table(table: scattering.SweepTable, fmt: str, path: str | None,
-                single: bool = False) -> None:
-    buf = io.StringIO()
-    if fmt == "csv":
-        scattering.sweep_to_csv(table, buf)
-    else:
-        scattering.sweep_to_json(table, buf, single=single)
-    _emit(buf.getvalue(), path)
 
 
 def _sweep_base(E: float, V0: float, m0: float, coupling: Coupling, axis: str) -> ScatteringQuery:
@@ -232,54 +231,48 @@ def _sweep_base(E: float, V0: float, m0: float, coupling: Coupling, axis: str) -
 
 def run_evolve(args: argparse.Namespace) -> int:
     coupling = Coupling(args.coupling)
-    m0, V0 = float(args.m0), float(args.V0)
+    m0 = args.m0
     if args.kc is not None:
-        k_c = float(args.kc)
+        k_c = args.kc
     else:
-        e_c = _EC_DEFAULT if args.Ec is None else float(args.Ec)
+        e_c = _EC_DEFAULT if args.Ec is None else args.Ec
         if not e_c > m0:
             raise ValueError(f"need Ec > m0, got Ec={e_c}, m0={m0}")
         k_c = math.sqrt(e_c * e_c - m0 * m0)
     e_c = math.sqrt(k_c * k_c + m0 * m0)
 
-    grid = dynamics.Grid(n=int(args.grid_n), length=float(args.domain_l))
-    x_c = -0.25 * grid.length if args.x_c is None else float(args.x_c)
+    grid = dynamics.Grid(n=args.grid_n, length=args.domain_l)
+    x_c = -0.25 * grid.length if args.x_c is None else args.x_c
     profile = dynamics.PotentialProfile(
-        coupling=coupling, v0=V0,
-        x_step=float(args.x_step), smoothing=float(args.smoothing),
+        coupling=coupling, v0=args.V0, x_step=args.x_step, smoothing=args.smoothing,
     )
-    sigma = float(args.sigma)
-    state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=sigma, m0=m0)
+    state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=args.sigma, m0=m0)
 
     # Nothing moves faster than 1, so by t_end the forward front is at most
-    # x_c + 5 sigma + t_end and a wave reflected at a step inside the domain
-    # at least 2 x_step - x_c - 5 sigma - t_end (with no step inside, the
-    # rear stays at x_c - 5 sigma).  Past an edge the periodic domain brings
-    # a front back in at the other end.  The warning waits for the run, so
-    # that parameters evolve refuses print only their error.
-    t_end = int(args.steps) * float(args.dt)
-    forward = x_c + 5.0 * sigma + t_end
-    reflected = (2.0 * profile.x_step - forward if profile.x_step > grid.x0
-                 else x_c - 5.0 * sigma)
-    wrapped = forward >= grid.x0 + grid.length or reflected <= grid.x0
-
-    snapshot_dir = None
-    if args.snapshots:
-        snapshot_dir = (os.path.dirname(os.path.abspath(args.output))
-                        if args.output else os.getcwd())
+    # x_c + 5 sigma + t_end, and a wave reflected at a step ahead of the
+    # packet at least 2 x_step - x_c - 5 sigma - t_end.  A packet that starts
+    # on a scalar or pseudoscalar plateau has negative-energy parts, which
+    # move left, as far as x_c - 5 sigma - t_end.  Past an edge the periodic
+    # domain brings a front back in at the other end.  The warning waits for
+    # the run, so that parameters evolve refuses print only their error.
+    t_end = args.steps * args.dt
+    forward = x_c + 5.0 * args.sigma + t_end
+    rear = x_c - 5.0 * args.sigma
+    if profile.x_step > rear:
+        rear = 2.0 * profile.x_step - forward
+    elif profile.v0 != 0.0 and coupling is not Coupling.VECTOR:
+        rear -= t_end
+    wrapped = forward >= grid.x0 + grid.length or rear <= grid.x0
 
     def on_record(snapshot_state: dynamics.WavePacketState, step: int) -> None:
-        if snapshot_dir is None:
-            return
-        buf = io.StringIO()
-        dynamics.snapshot_to_csv(snapshot_state, buf)
-        _atomic_write(os.path.join(snapshot_dir, f"snapshot_{step:07d}.csv"),
-                      buf.getvalue())
+        # snapshots go beside the output file, or into the working directory
+        name = f"snapshot_{step:07d}.csv"
+        with _output(os.path.join(os.path.dirname(args.output or ""), name)) as out:
+            dynamics.snapshot_to_csv(snapshot_state, out)
 
     final, records = dynamics.evolve(
-        state, profile, dt=float(args.dt), n_steps=int(args.steps),
-        record_every=int(args.record_every),
-        on_record=on_record if snapshot_dir is not None else None,
+        state, profile, dt=args.dt, n_steps=args.steps, record_every=args.record_every,
+        on_record=on_record if args.snapshots else None,
     )
 
     summary: dict[str, Any] = {
@@ -287,45 +280,44 @@ def run_evolve(args: argparse.Namespace) -> int:
         "p_right_final": records[-1].p_right,
         "norm_drift": abs(records[-1].norm - records[0].norm),
     }
-    # the closed form needs a massive incident wave and a vector or scalar step
-    if coupling is not Coupling.PSEUDOSCALAR and m0 > 0:
-        try:
-            res = scattering.amplitudes(
-                ScatteringQuery(E=e_c, V0=V0, m0=m0, coupling=coupling))
-            summary["analytic_r"] = res.r
-            summary["analytic_t"] = res.t
-        except SingularConfigurationError:
-            pass  # degenerate point: no analytic reference to report
+    try:
+        res = scattering.amplitudes(
+            ScatteringQuery(E=e_c, V0=args.V0, m0=m0, coupling=coupling))
+        summary["analytic_r"] = res.r
+        summary["analytic_t"] = res.t
+    except ValueError:
+        # no closed-form reference: pseudoscalar coupling, a massless
+        # packet, a 0/0 point, or an overflow
+        pass
     if wrapped:
         summary["wrapped"] = True
         print(f"warning: by t={_g(t_end)} the packet can cross the periodic edge "
-              f"(fronts at x={_g(reflected)} and x={_g(forward)}, domain "
+              f"(fronts at x={_g(rear)} and x={_g(forward)}, domain "
               f"[{_g(grid.x0)}, {_g(grid.x0 + grid.length)})): p_left and p_right "
               "mix the waves of both ends", file=sys.stderr)
 
     # records go to a file; bare stdout stays pure summary JSON
     if args.output is not None:
-        if args.format == "svg":
-            series = {name: [getattr(rec, name) for rec in records]
-                      for name in ("p_left", "p_right", "norm")}
-            spec = svgplot.PlotSpec(
-                title=f"wave-packet evolution, {coupling.value} coupling",
-                x_label="time", y_label="probability",
-            )
-            times = [rec.time for rec in records]
-            _emit(svgplot.render_svg(times, series, spec), args.output)
-        elif args.format == "json":
-            payload = {"records": [rec.__dict__ for rec in records], "summary": summary}
-            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-        else:
-            buf = io.StringIO()
-            dynamics.observables_to_csv(records, buf)
-            _emit(buf.getvalue(), args.output)
+        with _output(args.output) as out:
+            if args.format == "svg":
+                series = {name: [getattr(rec, name) for rec in records]
+                          for name in ("p_left", "p_right", "norm")}
+                spec = svgplot.PlotSpec(
+                    title=f"wave-packet evolution, {coupling.value} coupling",
+                    x_label="time", y_label="probability",
+                )
+                out.write(svgplot.render_svg([rec.time for rec in records], series, spec))
+            elif args.format == "json":
+                payload = {"records": [rec.__dict__ for rec in records], "summary": summary}
+                out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            else:
+                dynamics.observables_to_csv(records, out)
 
     summary_text = json.dumps(summary, indent=2, sort_keys=True)
     print(summary_text)
     if args.output is not None:
-        _atomic_write(args.output + ".summary.json", summary_text + "\n")
+        with _output(args.output + ".summary.json") as out:
+            out.write(summary_text + "\n")
     return 0
 
 
@@ -333,7 +325,6 @@ def run_algebra(args: argparse.Namespace) -> int:
     if args.output is not None and args.format != "json":
         raise ValueError("algebra writes its representation only as JSON: "
                          "add --format json to --output, or use --emit-json PATH")
-    tolerance = float(args.tolerance)
 
     if args.verify_json is not None:
         with open(args.verify_json) as fh:
@@ -341,9 +332,9 @@ def run_algebra(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise ValueError("algebra requires --n (or --verify-json)")
-        rep = algebra.build_representation(int(args.n))
+        rep = algebra.build_representation(args.n)
 
-    report = algebra.verify_clifford(rep, tolerance)
+    report = algebra.verify_clifford(rep, args.tolerance)
     print(
         f"n={rep.n} dim={rep.dim} passed={'true' if report.passed else 'false'} "
         f"max_deviation={format(report.max_deviation, '.17g')}"
@@ -353,8 +344,8 @@ def run_algebra(args: argparse.Namespace) -> int:
 
     emit_path = args.emit_json if args.emit_json is not None else args.output
     if emit_path is not None:
-        text = json.dumps(algebra.representation_to_json(rep), sort_keys=True)
-        _atomic_write(emit_path, text + "\n")
+        with _output(emit_path) as out:
+            out.write(json.dumps(algebra.representation_to_json(rep), sort_keys=True) + "\n")
     return 0 if report.passed else 1
 
 

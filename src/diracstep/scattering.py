@@ -233,7 +233,9 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
 
     R = (a - b)/(a + b), T = 2a/(a + b); the continuity identity 1 + R = T
     holds by construction.  Raises SingularConfigurationError at the
-    isolated degenerate points where a + b = 0 or b is a 0/0 limit.
+    isolated degenerate points where a + b = 0 or b is a 0/0 limit, and
+    ValueError where the closed form overflows (E^2, omega^2 or mass^2
+    past the float range), which leaves r or t non-finite.
     """
     omega, mass = _channel(q.coupling, q.E, q.V0, q.m0)
     a = incident_factor(q.E, q.m0)
@@ -245,6 +247,11 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     R = (a - b) / (a + b)
     T = 2 * a / (a + b)
     r, t = coefficients(a, b, R, T)
+    if not (math.isfinite(r) and math.isfinite(t)):
+        raise ValueError(
+            f"closed form overflows at E={q.E}, V0={q.V0}, m0={q.m0}: "
+            f"r={r} and t={t} are not finite"
+        )
     return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=_regime(omega, mass))
 
 
@@ -296,8 +303,8 @@ class SweepTable(Sequence[SweepRow]):
     VALUE_COLUMNS to a float64 array that is bitwise what amplitudes()
     returns at that point.  ``regime`` indexes (transmission, evanescent,
     klein_zone); ``error`` marks the points amplitudes() refuses (non-finite
-    input, E <= m0, the 0/0 point omega + mass = 0, a + b = 0), whose value
-    columns are meaningless.
+    input, E <= m0, the 0/0 point omega + mass = 0, a + b = 0, non-finite r
+    or t), whose value columns are meaningless.
 
     The table is also a sequence of SweepRow, in grid order.  Rows are
     built on each access and never kept, and an error row's message is
@@ -326,7 +333,8 @@ class SweepTable(Sequence[SweepRow]):
             t = (re_b / a) * (re_T * re_T + im_T * im_T)
             valid = (np.isfinite(E) & np.isfinite(V0) & np.isfinite(m0)
                      & (m0 > 0.0) & (E > m0) & (denominator != 0.0) & (a > 0.0)
-                     & ((re_sum != 0.0) | (im_sum != 0.0)))
+                     & ((re_sum != 0.0) | (im_sum != 0.0))
+                     & np.isfinite(r) & np.isfinite(t))
         self.values = dict(zip(VALUE_COLUMNS, (a, re_b, im_b, re_R, im_R, re_T, im_T, r, t)))
         self.regime = np.where(radicand > 0.0, np.where(denominator > 0.0, 0, 2), 1)
         self.error = ~valid
@@ -462,4 +470,5 @@ def sweep_to_json(table: SweepTable, stream: IO[str], *, single: bool = False) -
         (text,) = objects
     else:
         text = "[\n" + ",\n".join(objects) + "\n]"
-    stream.write(text + "\n")
+    stream.write(text)
+    stream.write("\n")  # apart: text + "\n" would copy the whole document once more

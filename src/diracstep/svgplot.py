@@ -47,8 +47,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return [i * step for i in range(first, last + 1)]
 
 
-def _coord(v: float) -> str:
-    return f"{v:.2f}"
+def _coord(v: float | str) -> str:
+    """A coordinate to two decimals; one given as text is written as it is."""
+    return v if isinstance(v, str) else f"{v:.2f}"
 
 
 def _tick_label(v: float) -> str:
@@ -57,8 +58,16 @@ def _tick_label(v: float) -> str:
     return format(v, "g")
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#000000",
+          width: str = "1", extra: str = "") -> str:
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
+            f'y2="{_coord(y2)}" stroke="{stroke}" stroke-width="{width}"{extra}/>')
+
+
+def _text(x: float | str, y: float | str, text: str, size: int = 11, extra: str = "") -> str:
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{_coord(x)}" y="{_coord(y)}" font-size="{size}" '
+            f'font-family="sans-serif"{extra}>{text}</text>')
 
 
 def render_svg(x: Sequence[float], series: Mapping[str, Sequence[float]],
@@ -119,41 +128,21 @@ def render_svg(x: Sequence[float], series: Mapping[str, Sequence[float]],
     bottom = _MARGIN_TOP + plot_h
     for tx in _nice_ticks(x_lo, x_hi):
         p = px(tx)
-        out.append(
-            f'<line x1="{_coord(p)}" y1="{_coord(bottom)}" x2="{_coord(p)}" '
-            f'y2="{_coord(bottom + 5)}" stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_coord(p)}" y="{_coord(bottom + 18)}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="middle">{_tick_label(tx)}</text>'
-        )
+        out.append(_line(p, bottom, p, bottom + 5))
+        out.append(_text(p, bottom + 18, _tick_label(tx), extra=' text-anchor="middle"'))
     for ty in _nice_ticks(y_lo, y_hi):
         p = py(ty)
-        out.append(
-            f'<line x1="{_coord(_MARGIN_LEFT - 5)}" y1="{_coord(p)}" '
-            f'x2="{_coord(_MARGIN_LEFT)}" y2="{_coord(p)}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_coord(_MARGIN_LEFT - 8)}" y="{_coord(p + 4)}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="end">{_tick_label(ty)}</text>'
-        )
+        out.append(_line(_MARGIN_LEFT - 5, p, _MARGIN_LEFT, p))
+        out.append(_text(_MARGIN_LEFT - 8, p + 4, _tick_label(ty), extra=' text-anchor="end"'))
 
     for x_rule, label in spec.vlines:
         if not x_lo <= x_rule <= x_hi:
             continue
         p = px(x_rule)
-        out.append(
-            f'<line x1="{_coord(p)}" y1="{_coord(_MARGIN_TOP)}" x2="{_coord(p)}" '
-            f'y2="{_coord(bottom)}" stroke="#555555" stroke-width="1" '
-            'stroke-dasharray="4,3"/>'
-        )
+        out.append(_line(p, _MARGIN_TOP, p, bottom, stroke="#555555",
+                         extra=' stroke-dasharray="4,3"'))
         if label:
-            out.append(
-                f'<text x="{_coord(p + 4)}" y="{_coord(_MARGIN_TOP + 12)}" '
-                f'font-size="11" font-family="sans-serif" fill="#555555">'
-                f"{_escape(label)}</text>"
-            )
+            out.append(_text(p + 4, _MARGIN_TOP + 12, label, extra=' fill="#555555"'))
 
     for i, (xv, yv) in enumerate(curves.values()):
         color = _PALETTE[i % len(_PALETTE)]
@@ -166,37 +155,21 @@ def render_svg(x: Sequence[float], series: Mapping[str, Sequence[float]],
     legend_x = _MARGIN_LEFT + plot_w - 110
     legend_y = _MARGIN_TOP + 10
     for i, label in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
         y = legend_y + 16 * i
-        out.append(
-            f'<line x1="{_coord(legend_x)}" y1="{_coord(y)}" '
-            f'x2="{_coord(legend_x + 20)}" y2="{_coord(y)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{_coord(legend_x + 26)}" y="{_coord(y + 4)}" font-size="11" '
-            f'font-family="sans-serif">{_escape(label)}</text>'
-        )
+        out.append(_line(legend_x, y, legend_x + 20, y, stroke=_PALETTE[i % len(_PALETTE)],
+                         width="1.5"))
+        out.append(_text(legend_x + 26, y + 4, label))
 
+    middle = ' text-anchor="middle"'
     if spec.title:
-        out.append(
-            f'<text x="{_coord(_WIDTH / 2)}" y="20" font-size="14" '
-            f'font-family="sans-serif" text-anchor="middle">{_escape(spec.title)}</text>'
-        )
+        out.append(_text(_WIDTH / 2, "20", spec.title, size=14, extra=middle))
     if spec.x_label:
-        out.append(
-            f'<text x="{_coord(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_coord(_HEIGHT - 8)}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="middle">{_escape(spec.x_label)}</text>'
-        )
+        out.append(_text(_MARGIN_LEFT + plot_w / 2, _HEIGHT - 8, spec.x_label, size=12,
+                         extra=middle))
     if spec.y_label:
         cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{_coord(cx)}" y="{_coord(cy)}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="middle" '
-            f'transform="rotate(-90 {_coord(cx)} {_coord(cy)})">'
-            f"{_escape(spec.y_label)}</text>"
-        )
+        out.append(_text(cx, cy, spec.y_label, size=12,
+                         extra=f'{middle} transform="rotate(-90 {_coord(cx)} {_coord(cy)})"'))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -6,8 +6,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from diracstep import scattering
 from diracstep.cli import _build_parser, main
 from diracstep.dynamics import OBSERVABLES_CSV_HEADER, SNAPSHOT_CSV_HEADER
 from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
@@ -99,6 +101,14 @@ class TestScatterSingle:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "pseudoscalar" in captured.err
 
+    def test_closed_form_overflow_exits_2(self, capsys):
+        """E^2 overflows past about 1.34e154, leaving r and t NaN: refused,
+        not printed with a regime."""
+        assert main(["scatter", "--E", "1e200", "--V0", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows" in captured.err
+
     def test_svg_without_sweep_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one.svg"
         assert main(["scatter", "--E", "2", "--output", str(path),
@@ -174,6 +184,30 @@ class TestScatterSweep:
         assert svg.count("<polyline") == 2
         assert 'stroke-dasharray="4,3"' in svg
         assert "V0 = E + m0" in svg
+
+    def test_failed_writer_leaves_the_target_unchanged(self, tmp_path, monkeypatch, capsys):
+        """The writer streams into a temp file beside the target; when it
+        raises part way, the temp file goes and the target keeps its bytes."""
+        path = tmp_path / "sweep.csv"
+        path.write_text("previous run\n")
+        partial = CSV_HEADER + "\n1.5,0,1,vector,"
+        temps = []
+
+        def failing_writer(table, stream):
+            stream.write(partial)
+            stream.flush()
+            temps.extend(p for p in tmp_path.iterdir() if p.read_text() == partial)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(scattering, "sweep_to_csv", failing_writer)
+        assert main(["scatter", "--E", "1.5", "--sweep", "V0:0:4:5",
+                     "--output", str(path)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        (temp,) = temps
+        assert temp.name.startswith(".tmp-diracstep-")
+        assert not temp.exists()
+        assert path.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_malformed_sweep_exits_2(self, capsys):
         assert main(["scatter", "--E", "2", "--sweep", "V0:0:4"]) == 2
@@ -277,6 +311,50 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "wrapped" not in json.loads(captured.out)
+
+    def test_step_behind_the_packet_does_not_warn(self, capsys):
+        """A step left of the packet reflects nothing: the packet never
+        meets it, and p_left stays below 1e-15."""
+        assert main(["evolve", "--x-step", "-90", "--V0", "0.5", "--steps", "100",
+                     "--grid-n", "256"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        assert "wrapped" not in summary and summary["p_left_final"] < 1e-15
+
+    def test_packet_on_a_scalar_plateau_warns(self, tmp_path, capsys):
+        """A free positive-energy packet on a scalar plateau has negative-energy
+        parts, which move left: by t = 100 about 3% of the probability leaves
+        through x = -100 and comes back in at x >= 60.  On a vector plateau
+        nothing does, and that run does not warn."""
+        base = ["evolve", "--V0", "2", "--x-step", "-150", "--grid-n", "512",
+                "--record-every", "2500", "--snapshots"]
+        wrapped_in = {}
+        for coupling in ("scalar", "vector"):
+            path = tmp_path / coupling / "obs.csv"
+            path.parent.mkdir()
+            assert main(base + ["--coupling", coupling, "--output", str(path)]) == 0
+            captured = capsys.readouterr()
+            warned = captured.err.startswith("warning:") and "periodic edge" in captured.err
+            assert warned == (coupling == "scalar")
+            assert json.loads(captured.out).get("wrapped", False) == warned
+            data = np.loadtxt(path.parent / "snapshot_0002500.csv", delimiter=",", skiprows=1)
+            density = (data[:, 1:] ** 2).sum(axis=1)
+            dx = data[1, 0] - data[0, 0]
+            wrapped_in[coupling] = density[data[:, 0] >= 60].sum() * dx
+        assert wrapped_in["scalar"] > 0.02
+        assert wrapped_in["vector"] < 1e-4
+
+    def test_overflowing_reference_is_omitted(self, capsys):
+        """At V0 = 1e200 the closed form overflows: the summary has no
+        analytic_* rather than a NaN, and stays strict JSON."""
+        assert main(["evolve", "--V0", "1e200", "--grid-n", "256", "--steps", "10"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert set(summary) == {"p_left_final", "p_right_final", "norm_drift"}
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         """Config supplies a Klein-zone setup; an explicit --steps flag must
@@ -448,6 +526,53 @@ class TestConfigFile:
             main(["evolve", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, values, first_line, message", [
+        ("evolve", {"steps": 2.9}, "usage:", "invalid int value: '2.9'"),
+        ("algebra", {"n": 3.7}, "usage:", "invalid int value: '3.7'"),
+        ("evolve", {"steps": True}, "error:", "steps must be a number or a string"),
+        ("evolve", {"snapshots": "no"}, "error:", "snapshots must be true or false"),
+        ("scatter", {"E": 1.5, "V0": [1]}, "error:", "V0 must be a number or a string"),
+        ("scatter", {"E": 1.5, "sweep": 5}, "error:", "sweep must look like"),
+    ])
+    def test_config_value_its_flag_would_refuse_exits_2(self, command, values, first_line,
+                                                        message, tmp_path, monkeypatch,
+                                                        capsys):
+        """A config value is converted by its flag's own type, so a value the
+        flag would refuse is refused, never truncated, taken as truthy or let
+        through to a traceback."""
+        monkeypatch.chdir(tmp_path)  # where a snapshot run would write
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        argv = [command, "--config", str(cfg)]
+        argv += ["--grid-n", "256"] if command == "evolve" else []
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(first_line) and message in captured.err
+        assert not list(tmp_path.glob("snapshot_*.csv"))
+
+    def test_config_switch_takes_a_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"snapshots": True, "grid_n": 256, "steps": 10,
+                                   "output": str(tmp_path / "obs.csv")}))
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
+        assert names == ["snapshot_0000000.csv", "snapshot_0000010.csv"]
+
+    def test_config_integer_for_a_float_flag(self, tmp_path, capsys):
+        argv = ["evolve", "--grid-n", "256", "--steps", "10"]
+        assert main(argv + ["--V0", "3"]) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"V0": 3}))
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("values, flag", [
         ({"kc": 1.0}, ["--Ec", "3"]),

@@ -216,6 +216,21 @@ class TestAmplitudes:
         with pytest.raises(SingularConfigurationError):
             amplitudes(ScatteringQuery(E=1.5, V0=2.5, m0=1.0))
 
+    @pytest.mark.parametrize("E, V0, m0, coupling", [
+        (1e200, 0.0, 1.0, "vector"),   # E^2 overflows: a = inf
+        (2.0, -1e200, 1.0, "vector"),  # omega^2 overflows: b = inf
+        (2.0, 1e200, 1.0, "vector"),   # Klein side: b = -inf
+        (2.0, 1e200, 1.0, "scalar"),   # mass^2 overflows: b = i inf
+    ])
+    def test_overflow_is_refused_not_labelled(self, E, V0, m0, coupling):
+        """Past about 1.34e154 a square overflows and r, t come out NaN; the
+        point is refused rather than returned with a regime."""
+        with pytest.raises(ValueError, match="overflows"):
+            amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling=coupling))
+        (row,) = SweepTable(E, V0, m0, coupling)
+        _assert_row_is_scalar_path(row)
+        assert row.result is None and "overflows" in row.error
+
 
 class TestCoefficients:
     def test_klein_example(self):
@@ -421,6 +436,16 @@ CROSS_CHECK_SWEEPS = [
 
 
 class TestSweepMatchesScalarPath:
+    def test_overflowing_finite_row_is_an_error_row(self):
+        """The last grid point, V0 = 1e308, is finite but overflows the
+        closed form: an error row, not a NaN row labelled klein_zone."""
+        table = sweep(ScatteringQuery(E=2.0, V0=0.0), "V0", -1e308, 1e308, 5)
+        assert table.V0[-1] == 1e308
+        assert table.error.all()
+        assert "overflows" in table[-1].error
+        for row in table:
+            _assert_row_is_scalar_path(row)
+
     @pytest.mark.parametrize("coupling,base,axis,start,stop,steps", CROSS_CHECK_SWEEPS)
     def test_every_row_is_bitwise_amplitudes(self, coupling, base, axis, start, stop, steps):
         rows = sweep(ScatteringQuery(coupling=coupling, **base), axis, start, stop, steps)
