@@ -276,10 +276,24 @@ def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _matrix_from_json(name: str, rows: list) -> np.ndarray:
+    # One flat list of the entries serves one type scan and one conversion;
+    # a check per entry would cost as much as the conversion at dim 128.
+    message = f"{name} must be rows of [re, im] number pairs"
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be rows of [re, im] number pairs") from exc
+        pairs = list(itertools.chain.from_iterable(rows))
+        entries = list(itertools.chain.from_iterable(pairs))
+    except TypeError as exc:  # a row or a pair that is not a list
+        raise ValueError(message) from exc
+    widths = set(map(len, rows))
+    # a JSON true or false loads as a bool, which would convert to 1 or 0
+    if (not set(map(type, entries)) <= {int, float}
+            or len(widths) > 1 or set(map(len, pairs)) - {2}):
+        raise ValueError(message)
+    try:
+        m = np.array(entries, dtype=float)
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError(message) from exc
+    m = m.view(complex).reshape(len(rows), *widths)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
     return m

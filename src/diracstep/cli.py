@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import IO, Any, Iterator, Sequence
 
 from . import algebra, dynamics, scattering, svgplot
@@ -144,14 +143,16 @@ def _read_config(path: str, command: argparse.ArgumentParser,
 def _output(path: str | None) -> Iterator[IO[str]]:
     """The stream an artifact is written to: stdout when path is None, else
     a temp file beside path that replaces it once the writer finishes and
-    is removed if the writer raises."""
+    is removed if the writer raises.  The file gets the mode a plain open
+    gives, 0o666 less the umask."""
     if path is None:
         yield sys.stdout  # looked up now: callers may have redirected it
         return
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                    prefix=".tmp-diracstep-")
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            f".tmp-diracstep-{os.urandom(6).hex()}")
+    fh = open(tmp_path, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             yield fh
         os.replace(tmp_path, path)
     except BaseException:
@@ -168,8 +169,6 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     if len(parts) != 4:
         raise ValueError(f"sweep must look like AXIS:FROM:TO:STEPS, got {spec!r}")
     axis, start, stop, steps = parts
-    if axis not in scattering.SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {scattering.SWEEP_AXES}, got {axis!r}")
     return axis, float(start), float(stop), int(steps)
 
 
@@ -263,6 +262,14 @@ def run_evolve(args: argparse.Namespace) -> int:
     elif profile.v0 != 0.0 and coupling is not Coupling.VECTOR:
         rear -= t_end
     wrapped = forward >= grid.x0 + grid.length or rear <= grid.x0
+    # The grid carries |k| < pi/dx.  k <= E on either side of a step, and the
+    # packet's energies lie within 5/(2 sigma) of Ec; past a vector step that
+    # the front reaches, k <= |Ec - V0|.
+    k_max = e_c
+    if coupling is Coupling.VECTOR and x_c - 5.0 * args.sigma < profile.x_step < forward:
+        k_max = max(e_c, abs(e_c - profile.v0))
+    k_max += 2.5 / args.sigma
+    unresolved = k_max >= math.pi / grid.dx
 
     def on_record(snapshot_state: dynamics.WavePacketState, step: int) -> None:
         # snapshots go beside the output file, or into the working directory
@@ -295,6 +302,11 @@ def run_evolve(args: argparse.Namespace) -> int:
               f"(fronts at x={_g(rear)} and x={_g(forward)}, domain "
               f"[{_g(grid.x0)}, {_g(grid.x0 + grid.length)})): p_left and p_right "
               "mix the waves of both ends", file=sys.stderr)
+    if unresolved:
+        summary["unresolved"] = True
+        print(f"warning: wavenumbers up to k={_g(k_max)} reach the grid's limit "
+              f"pi/dx={_g(math.pi / grid.dx)}: the grid cannot carry the run's waves",
+              file=sys.stderr)
 
     # records go to a file; bare stdout stays pure summary JSON
     if args.output is not None:

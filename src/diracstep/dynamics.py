@@ -242,8 +242,10 @@ def _unitary(c: np.ndarray, s: np.ndarray, h) -> _Factor:
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one row broadcasts over both components and halves the field's memory
-    return a if np.array_equal(a, b) else np.stack([a, b])
+    # one row broadcasts over both components and halves the field's memory;
+    # so does a real field held as float64
+    field = a if np.array_equal(a, b) else np.stack([a, b])
+    return field if field.imag.any() else field.real.copy()
 
 
 def _free_factor(grid: Grid, m0: float, dt: float) -> _Factor:

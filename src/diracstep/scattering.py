@@ -37,13 +37,16 @@ pointing away from the step.  This is the Klein zone, where r > 1 and
 t < 0.  Flipping the root sign would erase the effect.  Under scalar
 coupling the substitution m0 -> m0 + V0 can never make b negative, so
 the Klein zone does not exist there.
+
+A point has an answer iff E, V0 and m0 are finite, E > m0 > 0, and r and
+t come out finite; amplitudes() refuses any other point with ValueError,
+and a SweepTable marks it as an error row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -130,10 +133,12 @@ def incident_factor(E: float, m0: float) -> float:
     """Incident-side kinematic factor a = sqrt(E^2 - m0^2)/(E + m0).
 
     Equals sqrt((E - m0)/(E + m0)); lies in [0, 1).  Requires E >= m0 > 0
-    (E = m0 is the threshold, a = 0).
+    (E = m0 is the threshold, a = 0) and a finite E.
     """
     if not m0 > 0:
         raise ValueError(f"m0 must be positive, got {m0}")
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E}")
     if E < m0:
         raise ValueError(f"incident wave below threshold: E={E} < m0={m0}")
     return math.sqrt(E * E - m0 * m0) / (E + m0)
@@ -185,11 +190,8 @@ def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> co
     evanescent branch.  In the vector Klein zone (V0 > E + m0) the radicand
     is positive and the denominator negative, so b < 0.
     """
-    if not m0 > 0:
-        raise ValueError(f"m0 must be positive, got {m0}")
-    if not E > m0:
-        raise ValueError(f"incident wave below threshold: E={E}, m0={m0}")
-    return _step_factor(*_channel(Coupling(coupling), E, V0, m0))
+    q = ScatteringQuery(E, V0, m0, coupling)  # refuses what amplitudes() refuses
+    return _step_factor(*_channel(q.coupling, E, V0, m0))
 
 
 def coefficients(a: float, b: complex, R: complex, T: complex) -> tuple[float, float]:
@@ -302,9 +304,9 @@ class SweepTable(Sequence[SweepRow]):
     are broadcast to one 1-D grid, and ``values`` maps each of
     VALUE_COLUMNS to a float64 array that is bitwise what amplitudes()
     returns at that point.  ``regime`` indexes (transmission, evanescent,
-    klein_zone); ``error`` marks the points amplitudes() refuses (non-finite
-    input, E <= m0, the 0/0 point omega + mass = 0, a + b = 0, non-finite r
-    or t), whose value columns are meaningless.
+    klein_zone); ``error`` marks the points amplitudes() refuses: a point is
+    valid iff m0 > 0, E > m0 and r and t come out finite.  An error row's
+    value columns are meaningless; a valid row's are all finite.
 
     The table is also a sequence of SweepRow, in grid order.  Rows are
     built on each access and never kept, and an error row's message is
@@ -331,10 +333,8 @@ class SweepTable(Sequence[SweepRow]):
             re_T, im_T = _quotient(2 * a, 0.0, re_sum, im_sum)
             r = re_R * re_R + im_R * im_R
             t = (re_b / a) * (re_T * re_T + im_T * im_T)
-            valid = (np.isfinite(E) & np.isfinite(V0) & np.isfinite(m0)
-                     & (m0 > 0.0) & (E > m0) & (denominator != 0.0) & (a > 0.0)
-                     & ((re_sum != 0.0) | (im_sum != 0.0))
-                     & np.isfinite(r) & np.isfinite(t))
+            # NaN/inf input, the 0/0 point, a = 0 and a + b = 0 all leave r or t NaN
+            valid = (m0 > 0.0) & (E > m0) & np.isfinite(r) & np.isfinite(t)
         self.values = dict(zip(VALUE_COLUMNS, (a, re_b, im_b, re_R, im_R, re_T, im_T, r, t)))
         self.regime = np.where(radicand > 0.0, np.where(denominator > 0.0, 0, 2), 1)
         self.error = ~valid
@@ -345,10 +345,7 @@ class SweepTable(Sequence[SweepRow]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._rows(index)
-        i = operator.index(index)
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"row {index} out of range for {len(self)} rows")
-        i %= len(self)
+        i = range(len(self))[index]
         return self._rows(slice(i, i + 1))[0]
 
     def __iter__(self) -> Iterator[SweepRow]:
@@ -405,7 +402,7 @@ def sweep(
     return SweepTable(coupling=base.coupling, **grid)
 
 
-CSV_HEADER = "E,V0,m0,coupling,a,re_b,im_b,re_R,im_R,re_T,im_T,r,t,regime"
+CSV_HEADER = ",".join((*SWEEP_AXES, "coupling", *VALUE_COLUMNS, "regime"))
 _REGIME_NAMES = np.array([regime.value for regime in _REGIMES], dtype=object)
 
 
@@ -435,10 +432,9 @@ def _json_object(fields: dict[str, str], pad: str) -> str:
     return f"{pad}{{\n{body}\n{pad}}}"
 
 
-def _json_numbers(column: np.ndarray, written=slice(None)) -> list:
-    # str(float) is the json module's text for finite floats; NaN and the
-    # infinities need its own spelling.  Only the `written` cells matter.
-    if np.isfinite(column[written]).all():
+def _json_numbers(column: np.ndarray) -> list:
+    # str(float) is the json module's text for finite floats, but not for NaN or inf
+    if np.isfinite(column).all():
         return column.tolist()
     return [json.dumps(value) for value in column.tolist()]
 
@@ -452,10 +448,8 @@ def sweep_to_json(table: SweepTable, stream: IO[str], *, single: bool = False) -
     """
     pad = "" if single else "  "
     coupling = json.dumps(table.coupling.value)
-    coordinates = {"E": table.E, "V0": table.V0, "m0": table.m0}
-    texts = {name: _json_numbers(column) for name, column in coordinates.items()}
-    texts.update((name, _json_numbers(column, ~table.error))
-                 for name, column in table.values.items())
+    texts = {name: _json_numbers(getattr(table, name)) for name in SWEEP_AXES}
+    texts.update((name, column.tolist()) for name, column in table.values.items())
     texts["regime"] = _REGIME_NAMES[table.regime].tolist()
     slots = sorted(texts)
     # regime names need no JSON escaping, so their quotes sit in the template
@@ -463,7 +457,7 @@ def sweep_to_json(table: SweepTable, stream: IO[str], *, single: bool = False) -
         {**dict.fromkeys(slots, "%s"), "regime": '"%s"', "coupling": coupling}, pad)
     objects = list(map(template.__mod__, zip(*(texts[name] for name in slots))))
     for i in np.flatnonzero(table.error).tolist():
-        fields = {name: str(texts[name][i]) for name in ("E", "V0", "m0")}
+        fields = {name: str(texts[name][i]) for name in SWEEP_AXES}
         objects[i] = _json_object(
             {**fields, "coupling": coupling, "error": json.dumps(table[i].error)}, pad)
     if single:

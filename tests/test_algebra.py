@@ -424,3 +424,19 @@ class TestJsonRoundTrip:
         data = json.loads(json.dumps(representation_to_json(build_representation(1))))
         with pytest.raises(ValueError):
             representation_from_json(corrupt(data))
+
+    @pytest.mark.parametrize("entry", [[True, False], [1.0, False], [True, 0.0]])
+    def test_boolean_entry_raises_value_error(self, entry):
+        """JSON true and false load as bools, which complex() takes as 1 and
+        0: beta's [true, false] corner would load as 1 and verify."""
+        data = json.loads(json.dumps(representation_to_json(build_representation(1))))
+        data["beta"][0][0] = entry
+        with pytest.raises(ValueError, match="number pairs"):
+            representation_from_json(data)
+
+    def test_entries_that_do_not_pair_up_raise_value_error(self):
+        """A triple and a single in one row hold as many numbers as two pairs."""
+        data = json.loads(json.dumps(representation_to_json(build_representation(1))))
+        data["beta"][0] = [[1.0, 0.0, 0.0], [0.0]]
+        with pytest.raises(ValueError, match="number pairs"):
+            representation_from_json(data)

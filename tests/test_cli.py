@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +216,19 @@ class TestScatterSweep:
         assert main(["scatter", "--E", "2", "--sweep", "Q:0:4:5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_holds_the_bytes_of_the_output_file(self, fmt, tmp_path, capsys):
+        """Without --output a sweep streams to stdout exactly what the file
+        would hold; the grid includes the 0/0 error row at V0 = 2.5."""
+        argv = ["scatter", "--E", "1.5", "--sweep", "V0:0:4:41", "--format", fmt]
+        path = tmp_path / f"sweep.{fmt}"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == path.read_bytes()
+        assert "error" in out
+
 
 class TestEvolve:
     def test_free_packet_fully_crosses(self, capsys):
@@ -345,6 +360,24 @@ class TestEvolve:
         assert wrapped_in["scalar"] > 0.02
         assert wrapped_in["vector"] < 1e-4
 
+    def test_run_whose_waves_pass_the_grid_limit_warns(self, capsys):
+        """Past a vector step of 100 the wavenumber reaches |Ec - V0| = 98,
+        and the default grid carries k up to pi/dx ~ 32: the packet leaves
+        next to nothing on the right, where the flux-signed Klein value is
+        about 0.93.  At V0 = 20 (k up to 18) the run is resolved, and so is
+        a run whose packet never meets the step."""
+        assert main(["evolve", "--V0", "100", "--Ec", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning:") and "pi/dx" in captured.err
+        summary = json.loads(captured.out)
+        assert summary["unresolved"] is True and summary["p_right_final"] < 1e-6
+        for argv in (["--V0", "20"],
+                     ["--V0", "100", "--steps", "100"],  # front at x = -21 by t = 4
+                     ["--V0", "100", "--x-step", "-90", "--steps", "100"]):  # step behind
+            assert main(["evolve", "--Ec", "2"] + argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and "unresolved" not in json.loads(captured.out)
+
     def test_overflowing_reference_is_omitted(self, capsys):
         """At V0 = 1e200 the closed form overflows: the summary has no
         analytic_* rather than a NaN, and stays strict JSON."""
@@ -416,6 +449,26 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--output", str(flag_path)]) == 0
         assert json.loads(flag_path.read_text())["records"] == data["records"]
         capsys.readouterr()
+
+
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, capsys):
+    """Under umask 022 every file the CLI writes is 0644: an --output file,
+    the evolve summary beside it, a snapshot and an --emit-json file."""
+    previous = os.umask(0o022)
+    try:
+        assert main(["scatter", "--E", "1.5", "--sweep", "V0:0:4:5",
+                     "--output", str(tmp_path / "sweep.csv")]) == 0
+        assert main(["evolve", "--grid-n", "256", "--steps", "10", "--snapshots",
+                     "--output", str(tmp_path / "obs.csv")]) == 0
+        assert main(["algebra", "--n", "3", "--emit-json", str(tmp_path / "rep.json")]) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    names = ["sweep.csv", "obs.csv", "obs.csv.summary.json", "snapshot_0000000.csv",
+             "snapshot_0000010.csv", "rep.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == \
+        dict.fromkeys(names, 0o644)
 
 
 class TestAlgebra:

@@ -289,6 +289,26 @@ class TestPotentialPropagator:
         assert np.max(np.abs(out.psi[0])) <= 1e-15
         assert np.max(np.abs(out.psi[1] - 1.0)) <= 1e-15
 
+    def test_real_coefficient_fields_are_held_as_float64(self):
+        """The pseudoscalar kick's cos(theta) and -+sin(theta) are real and
+        held as float64, half the bytes of a complex field; applying them is
+        bitwise the complex product.  A field with an imaginary part stays
+        complex."""
+        g = Grid(n=256, length=32.0)
+        prof = PotentialProfile(coupling="pseudoscalar", v0=1.3, x_step=-2.0, smoothing=1.0)
+        for dt in (0.2, 0.4):
+            diag, off = _kick_factor(prof, g, dt)
+            assert diag.dtype == off.dtype == np.float64
+            assert diag.shape == (g.n,) and off.shape == (2, g.n)
+        state = self._random_state(g, 3)
+        expected = diag.astype(complex) * state.psi + off.astype(complex) * state.psi[::-1]
+        assert np.array_equal(kick(state, prof, 0.4).psi, expected)
+        for coupling in ("vector", "scalar"):
+            diag, off = _kick_factor(PotentialProfile(coupling=coupling, v0=1.3), g, 0.4)
+            assert diag.dtype == np.complex128 and off is None
+        diag, off = _free_factor(g, 1.0, 0.4)
+        assert diag.dtype == off.dtype == np.complex128
+
 
 class TestMeasure:
     def test_partition_is_exact(self):

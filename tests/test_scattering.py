@@ -66,6 +66,11 @@ class TestIncidentFactor:
         with pytest.raises(ValueError):
             incident_factor(1.0, -1.0)
 
+    def test_rejects_non_finite_energy(self):
+        for E in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                incident_factor(E, 1.0)
+
 
 class TestTransmittedFactor:
     def test_zero_step_reduces_to_incident_bitwise(self):
@@ -95,6 +100,14 @@ class TestTransmittedFactor:
     def test_rejects_below_threshold(self):
         with pytest.raises(ValueError):
             transmitted_factor(0.9, 1.0, 1.0, Coupling.VECTOR)
+
+    def test_rejects_non_finite_energy_or_step(self):
+        """The inputs pass ScatteringQuery's checks, as amplitudes() asks."""
+        for coupling in (Coupling.VECTOR, Coupling.SCALAR):
+            for E, V0 in [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                          (1.5, math.nan), (1.5, math.inf), (1.5, -math.inf)]:
+                with pytest.raises(ValueError, match="finite"):
+                    transmitted_factor(E, V0, 1.0, coupling)
 
     def test_degenerate_point_is_singular(self):
         with pytest.raises(SingularConfigurationError):
@@ -476,6 +489,26 @@ class TestSweepMatchesScalarPath:
             assert row.result.regime is expected
         else:
             assert expected in row.error
+
+    @pytest.mark.parametrize("coupling", ["vector", "scalar"])
+    def test_error_rows_are_where_amplitudes_refuses(self, coupling):
+        """The kernel's four-term validity rule, checked on every triple of
+        signed zeros, 1 and its neighbours, the feature points of
+        (1.5, 3, 1), underflow, overflow and non-finite values.  At
+        (E, V0, m0) = (1e20, 2e20, 1) a vector step gives a + b = 0."""
+        values = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                  0.5, 2.0, 2.5, 3.0, 1e-300, 5e-324, 1e154, 1e200, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan, 1e20, 2e20]
+        E, V0, m0 = (axis.ravel() for axis in np.meshgrid(values, values, values, indexing="ij"))
+        table = SweepTable(E, V0, m0, coupling)
+        assert len(table) == len(values) ** 3 and table.error.any() and not table.error.all()
+        for column in table.values.values():
+            assert np.isfinite(column[~table.error]).all()
+        for row in table:
+            _assert_row_is_scalar_path(row)
+        if coupling == "vector":
+            with pytest.raises(SingularConfigurationError, match="a \\+ b = 0"):
+                amplitudes(ScatteringQuery(E=1e20, V0=2e20, m0=1.0))
 
     @given(
         E=st.floats(allow_nan=False, allow_infinity=False),
