@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import IO, Any, Iterator, Sequence
 
 from . import algebra, dynamics, scattering, svgplot
@@ -29,6 +30,8 @@ from .scattering import Coupling, ScatteringQuery
 _FORMATS = ("csv", "svg", "json")
 _EC_DEFAULT = 2.0  # central energy when neither --Ec nor --kc is given
 _ENERGY_KEYS = ("Ec", "kc")
+# the summary key each of evolve's trust warnings sets
+_FLAGS = {dynamics.WrappedWarning: "wrapped", dynamics.UnresolvedWarning: "unresolved"}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -247,40 +250,18 @@ def run_evolve(args: argparse.Namespace) -> int:
     )
     state = dynamics.gaussian_packet(grid, x_c=x_c, k_c=k_c, sigma=args.sigma, m0=m0)
 
-    # Nothing moves faster than 1, so by t_end the forward front is at most
-    # x_c + 5 sigma + t_end, and a wave reflected at a step ahead of the
-    # packet at least 2 x_step - x_c - 5 sigma - t_end.  A packet that starts
-    # on a scalar or pseudoscalar plateau has negative-energy parts, which
-    # move left, as far as x_c - 5 sigma - t_end.  Past an edge the periodic
-    # domain brings a front back in at the other end.  The warning waits for
-    # the run, so that parameters evolve refuses print only their error.
-    t_end = args.steps * args.dt
-    forward = x_c + 5.0 * args.sigma + t_end
-    rear = x_c - 5.0 * args.sigma
-    if profile.x_step > rear:
-        rear = 2.0 * profile.x_step - forward
-    elif profile.v0 != 0.0 and coupling is not Coupling.VECTOR:
-        rear -= t_end
-    wrapped = forward >= grid.x0 + grid.length or rear <= grid.x0
-    # The grid carries |k| < pi/dx.  k <= E on either side of a step, and the
-    # packet's energies lie within 5/(2 sigma) of Ec; past a vector step that
-    # the front reaches, k <= |Ec - V0|.
-    k_max = e_c
-    if coupling is Coupling.VECTOR and x_c - 5.0 * args.sigma < profile.x_step < forward:
-        k_max = max(e_c, abs(e_c - profile.v0))
-    k_max += 2.5 / args.sigma
-    unresolved = k_max >= math.pi / grid.dx
-
     def on_record(snapshot_state: dynamics.WavePacketState, step: int) -> None:
         # snapshots go beside the output file, or into the working directory
         name = f"snapshot_{step:07d}.csv"
         with _output(os.path.join(os.path.dirname(args.output or ""), name)) as out:
             dynamics.snapshot_to_csv(snapshot_state, out)
 
-    final, records = dynamics.evolve(
-        state, profile, dt=args.dt, n_steps=args.steps, record_every=args.record_every,
-        on_record=on_record if args.snapshots else None,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        final, records = dynamics.evolve(
+            state, profile, dt=args.dt, n_steps=args.steps, record_every=args.record_every,
+            on_record=on_record if args.snapshots else None,
+        )
 
     summary: dict[str, Any] = {
         "p_left_final": records[-1].p_left,
@@ -296,17 +277,10 @@ def run_evolve(args: argparse.Namespace) -> int:
         # no closed-form reference: pseudoscalar coupling, a massless
         # packet, a 0/0 point, or an overflow
         pass
-    if wrapped:
-        summary["wrapped"] = True
-        print(f"warning: by t={_g(t_end)} the packet can cross the periodic edge "
-              f"(fronts at x={_g(rear)} and x={_g(forward)}, domain "
-              f"[{_g(grid.x0)}, {_g(grid.x0 + grid.length)})): p_left and p_right "
-              "mix the waves of both ends", file=sys.stderr)
-    if unresolved:
-        summary["unresolved"] = True
-        print(f"warning: wavenumbers up to k={_g(k_max)} reach the grid's limit "
-              f"pi/dx={_g(math.pi / grid.dx)}: the grid cannot carry the run's waves",
-              file=sys.stderr)
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+        if caught_warning.category in _FLAGS:
+            summary[_FLAGS[caught_warning.category]] = True
 
     # records go to a file; bare stdout stays pure summary JSON
     if args.output is not None:

@@ -23,6 +23,8 @@ at record points only: a NaN or inf spreads over the whole field through
 the FFT, so a fault is still caught, and reported as "detected by step N"
 with N the record point that caught it.  Non-finite parameters (grid,
 profile, packet or dt) are refused with ValueError before any step runs.
+A run that wrapped around the periodic domain, or whose waves the grid
+cannot carry, ends with a WrappedWarning or an UnresolvedWarning.
 
 A wave packet is stored as a (2, N) complex field on a uniform periodic
 grid.  Packets are initialized in momentum space as superpositions of
@@ -42,6 +44,17 @@ from typing import IO, Callable, Literal
 import numpy as np
 
 from .scattering import Coupling
+
+
+_BANDS, _THRESHOLD = 16, 1e-4  # trust bands of n/16 points; the probability they may gain
+
+
+class WrappedWarning(UserWarning):
+    """Waves crossed the periodic edge: p_left and p_right mix both ends."""
+
+
+class UnresolvedWarning(UserWarning):
+    """The run's wavenumbers reach pi/dx, past what the grid carries."""
 
 
 @dataclass(frozen=True)
@@ -262,19 +275,25 @@ def _free_factor(grid: Grid, m0: float, dt: float) -> _Factor:
     return _unitary(np.cos(omega * dt), s_over_omega, ((m0, k), (k, -m0)))
 
 
-def _kick_factor(profile: PotentialProfile, grid: Grid, dt: float) -> _Factor:
+def _kick_factor(profile: PotentialProfile, grid: Grid, dt: float) -> _Factor | None:
     """Exact per-point potential propagator exp(-i V(x) Gamma dt).
 
     Gamma^2 = 1 for every coupling, so the exponential is
     cos(theta) I - i sin(theta) Gamma with theta = V dt; cos and sin are
-    read off exp(-i theta), so a vector kick is exactly that phase.
+    read off exp(-i theta), so a vector kick is exactly that phase.  A zero
+    potential gives None, which _apply skips.
     """
-    phase = np.exp(-1j * (profile.values(grid.x) * dt))
+    values = profile.values(grid.x)
+    if not values.any():
+        return None
+    phase = np.exp(-1j * (values * dt))
     return _unitary(phase.real, -phase.imag, profile.coupling.matrix)
 
 
-def _apply(factor: _Factor, psi: np.ndarray) -> None:
+def _apply(factor: _Factor | None, psi: np.ndarray) -> None:
     """psi <- factor . psi at every column of the (2, N) field, in place."""
+    if factor is None:
+        return
     diag, off = factor
     if off is None:
         psi *= diag
@@ -334,9 +353,14 @@ def evolve(
     at the potential step (or mid-domain for a zero profile).  dt well
     above 0.5*dx degrades the splitting accuracy (the method stays
     unitary and stable); that is reported as a warning, not an error.
-    Half-kicks of adjacent steps are fused between record points.
-    Non-finite field values are caught at the record points and abort
-    with "detected by step N", N the record point that saw them.
+    Kicks are fused and non-finite fields abort as the module docstring
+    says.  The run reads the probability in bands of n/16 grid points at
+    both domain edges and around the step, after its last step and often
+    enough before that no front at speed 1 skips a band.  It ends with a
+    WrappedWarning if the edge bands gained more than 1e-4 over step 0,
+    and with an UnresolvedWarning if the energies E of the initial
+    spectrum allow k >= pi/dx (k <= E, and k <= |E - V0| past a vector
+    step once the step band held more than 1e-4).
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -355,6 +379,15 @@ def evolve(
     half_kick = _kick_factor(profile, grid, 0.5 * dt)
     kick = _kick_factor(profile, grid, dt)
     free = _free_factor(grid, state.m0, dt)
+    width = grid.n // _BANDS
+    lo, hi = np.searchsorted(grid.x, profile.x_step + np.array([-0.5, 0.5]) * width * grid.dx)
+    bands = (np.r_[:width, grid.n - width:grid.n], slice(lo, hi))  # edges, step
+    check_every = max(1, int(width * grid.dx / dt))  # < one band width at speed 1
+
+    def band_probabilities(psi: np.ndarray) -> np.ndarray:
+        return grid.dx * np.array([np.vdot(psi[:, band], psi[:, band]).real for band in bands])
+
+    start = peak = band_probabilities(state.psi)
     records = [measure(state, x_split, step=0)]
     if on_record is not None:
         on_record(state, 0)
@@ -364,6 +397,9 @@ def evolve(
         psi = np.fft.fft(psi, axis=1)
         _apply(free, psi)
         psi = np.fft.ifft(psi, axis=1)
+        if not step % check_every or step == n_steps:
+            # a kick is a unitary per point: the one pending leaves the density as it is
+            peak = np.maximum(peak, band_probabilities(psi))
         if step % record_every and step < n_steps:
             _apply(kick, psi)  # this step's trailing and the next step's leading half
             continue
@@ -375,7 +411,27 @@ def evolve(
         if on_record is not None:
             on_record(snapshot, step)
         _apply(half_kick, psi)  # the next step's leading half
+    _judge(state, profile, edge_gain=peak[0] - start[0], step_peak=peak[1])
     return snapshot, records
+
+
+def _judge(state: WavePacketState, profile: PotentialProfile, edge_gain: float,
+           step_peak: float) -> None:
+    """Raise the trust warnings of a run from what its bands saw."""
+    grid, limit = state.grid, _THRESHOLD * state.norm()
+    if edge_gain > limit:
+        warnings.warn(f"waves crossed the periodic edge (edge bands gained {edge_gain:.3g}): "
+                      "p_left and p_right mix both ends", WrappedWarning, stacklevel=3)
+    # the energies of the modes that hold at least _THRESHOLD of the peak weight
+    weight = np.sum(np.abs(np.fft.fft(state.psi, axis=1)) ** 2, axis=0)
+    energies = np.hypot(grid.k, state.m0)[weight >= _THRESHOLD * weight.max()]
+    k_max = energies.max()
+    if profile.kind == "step" and profile.coupling is Coupling.VECTOR and step_peak > limit:
+        k_max = max(k_max, np.abs(energies - profile.v0).max())
+    if k_max >= math.pi / grid.dx:
+        warnings.warn(f"wavenumbers up to k={k_max:.12g} reach the grid's limit pi/dx="
+                      f"{math.pi / grid.dx:.12g}: the grid cannot carry the run's waves",
+                      UnresolvedWarning, stacklevel=3)
 
 
 OBSERVABLES_CSV_HEADER = "step,time,norm,mean_x,p_left,p_right,current"

@@ -389,15 +389,15 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"sweep bounds must be finite, got {start} .. {stop}")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"sweep bounds and their span must be finite, got {start} .. {stop}")
     if not start < stop:
         raise ValueError(f"need start < stop, got {start} .. {stop}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     grid = {"E": base.E, "V0": base.V0, "m0": base.m0}
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a span past the float range gives NaN/inf grid values: error rows
+    with np.errstate(over="ignore"):
+        # near the float range only the last product overflows; linspace sets it to stop
         grid[axis] = np.linspace(start, stop, steps)
     return SweepTable(coupling=base.coupling, **grid)
 

@@ -6,12 +6,13 @@ import json
 import os
 import re
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracstep import scattering
+from diracstep import dynamics, scattering
 from diracstep.cli import _build_parser, main
 from diracstep.dynamics import OBSERVABLES_CSV_HEADER, SNAPSHOT_CSV_HEADER
 from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
@@ -69,6 +70,7 @@ class TestScatterSingle:
         ["--E", "1.5", "--V0", "inf"],
         ["--E", "inf"],
         ["--E", "1.5", "--sweep", "V0:0:inf:5"],
+        ["--E", "2", "--sweep", "V0:-1e308:1e308:5"],  # the span overflows
     ])
     def test_non_finite_input_exits_2(self, argv, capsys):
         assert main(["scatter"] + argv) == 2
@@ -377,6 +379,39 @@ class TestEvolve:
             assert main(["evolve", "--Ec", "2"] + argv) == 0
             captured = capsys.readouterr()
             assert captured.err == "" and "unresolved" not in json.loads(captured.out)
+
+    @pytest.mark.parametrize("argv,categories,flags", [
+        (["--V0", "0.5", "--Ec", "2", "--steps", "6000"], [dynamics.WrappedWarning],
+         {"wrapped"}),
+        # the grid cannot carry the transmitted wave, and what it makes of it
+        # reaches the edge bands
+        (["--V0", "100", "--Ec", "2"], [dynamics.WrappedWarning, dynamics.UnresolvedWarning],
+         {"wrapped", "unresolved"}),
+        (["--dt", "0.5", "--grid-n", "256", "--steps", "10"], [UserWarning], set()),
+    ], ids=["forward", "V0-100", "large-dt"])
+    def test_flags_are_the_warnings_evolve_raises(self, argv, categories, flags,
+                                                  monkeypatch, capsys):
+        """The library run raises the warnings the CLI prints, one warning:
+        line each; the two trust warnings set the summary keys."""
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append((args, kwargs))
+            return evolve(*args, **kwargs)
+
+        evolve = dynamics.evolve
+        monkeypatch.setattr(dynamics, "evolve", spy)
+        assert main(["evolve"] + argv) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert {key for key in ("wrapped", "unresolved") if key in summary} == flags
+        assert all(summary[key] is True for key in flags)
+        ((args, kwargs),) = runs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve(*args, **kwargs)
+        assert [w.category for w in caught] == categories
+        assert captured.err.splitlines() == [f"warning: {w.message}" for w in caught]
 
     def test_overflowing_reference_is_omitted(self, capsys):
         """At V0 = 1e200 the closed form overflows: the summary has no

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from diracstep.dynamics import (
     Grid,
     PotentialProfile,
     WavePacketState,
+    WrappedWarning,
     _apply,
     _free_factor,
     _kick_factor,
@@ -370,7 +372,8 @@ class TestEvolve:
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
         prof = PotentialProfile(coupling="vector", kind="zero")
-        final, records = evolve(state, prof, 0.05, 10_000, record_every=2000)
+        with pytest.warns(WrappedWarning):  # t = 500 crosses the domain of 100 often
+            final, records = evolve(state, prof, 0.05, 10_000, record_every=2000)
         assert abs(final.norm() - 1.0) <= 1e-10
         assert all(abs(r.norm - 1.0) <= 1e-10 for r in records)
 
@@ -437,6 +440,40 @@ class TestEvolve:
                 assert np.max(np.abs(seen[step] - ref.psi)) <= 1e-13
         assert np.array_equal(final.psi, seen[n_steps])
 
+    @pytest.mark.parametrize("profile", [
+        PotentialProfile(coupling="vector", kind="zero"),
+        PotentialProfile(coupling="scalar", v0=0.0, x_step=3.0),
+    ], ids=["zero", "step-of-height-0"])
+    def test_zero_potential_run_is_the_free_factor_alone(self, profile):
+        """A zero potential is not kicked: the run is bitwise the loop of
+        free factors, which is what multiplying by a kick of 1.0 gave."""
+        g = Grid(n=512, length=100.0)
+        state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
+        dt, n_steps = 0.05, 37
+        assert _kick_factor(profile, g, dt) is None
+        final, _ = evolve(state, profile, dt, n_steps, record_every=10)
+        free = _free_factor(g, state.m0, dt)
+        psi = np.array(state.psi)
+        for _ in range(n_steps):
+            psi = np.fft.fft(psi, axis=1)
+            _apply(free, psi)
+            psi = np.fft.ifft(psi, axis=1)
+        assert np.array_equal(final.psi, psi)
+
+    @pytest.mark.parametrize("x_c,wraps", [(-30.0, False), (30.0, True)],
+                             ids=["moving-away", "moving-towards"])
+    def test_packet_at_the_minimum_edge_gap(self, x_c, wraps):
+        """A packet 5 sigma from an edge, as close as gaussian_packet allows,
+        starts with its tail in the edge band: only a gain over that start
+        counts, so moving away from the edge does not wrap."""
+        g = Grid(n=512, length=100.0)
+        state = gaussian_packet(g, x_c=x_c, k_c=math.sqrt(3.0), sigma=4.0, m0=1.0)
+        prof = PotentialProfile(coupling="vector", v0=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve(state, prof, 0.08, 300, record_every=100)
+        assert [w.category for w in caught] == ([WrappedWarning] if wraps else [])
+
     def test_oversized_dt_warns_but_runs(self):
         g = Grid(n=256, length=32.0)  # dx = 0.125
         state = gaussian_packet(g, x_c=-8.0, k_c=1.0, sigma=1.0, m0=1.0)
@@ -489,7 +526,9 @@ class TestStepPhysics:
         state = gaussian_packet(g, x_c=-20.0, k_c=k_c, sigma=4.0, m0=m0)
         prof = PotentialProfile(coupling="scalar", v0=v0, x_step=g.x0 - 0.5 * g.dx)
         t_total = 24.0
-        final, records = evolve(state, prof, 0.08, 300, record_every=300)
+        # the packet's negative-energy part moves left into the edge band
+        with pytest.warns(WrappedWarning):
+            final, records = evolve(state, prof, 0.08, 300, record_every=300)
         v_measured = (records[-1].mean_x - records[0].mean_x) / t_total
         assert abs(v_measured - v_expected) / v_expected <= 0.01
 

@@ -345,18 +345,18 @@ class TestSweep:
             sweep(base, "T", 0.0, 1.0, 5)
 
     @pytest.mark.parametrize("start,stop", [(0.0, math.inf), (-math.inf, 1.0),
-                                            (math.nan, 1.0), (0.0, math.nan)])
+                                            (math.nan, 1.0), (0.0, math.nan),
+                                            (-1e308, 1e308)])  # the span overflows
     def test_rejects_non_finite_bounds(self, start, stop):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
         with pytest.raises(ValueError, match="finite"):
             sweep(base, "V0", start, stop, 5)
 
     def test_non_finite_grid_points_become_error_rows(self):
-        """Finite bounds whose span overflows give NaN/inf grid values."""
-        base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
-        rows = sweep(base, "V0", -1e308, 1e308, 5)
-        assert [math.isfinite(row.V0) for row in rows] == [False] * 4 + [True]
-        assert all("must be finite" in row.error for row in rows[:4])
+        rows = SweepTable(1.5, [math.nan, math.inf, -math.inf, 0.0], 1.0, "vector")
+        assert [math.isfinite(row.V0) for row in rows] == [False] * 3 + [True]
+        assert all("must be finite" in row.error for row in rows[:3])
+        assert rows[3].error is None
 
     def test_csv_round_trips_at_17_digits(self):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
@@ -452,9 +452,9 @@ class TestSweepMatchesScalarPath:
     def test_overflowing_finite_row_is_an_error_row(self):
         """The last grid point, V0 = 1e308, is finite but overflows the
         closed form: an error row, not a NaN row labelled klein_zone."""
-        table = sweep(ScatteringQuery(E=2.0, V0=0.0), "V0", -1e308, 1e308, 5)
+        table = sweep(ScatteringQuery(E=2.0, V0=0.0), "V0", 0.0, 1e308, 5)
         assert table.V0[-1] == 1e308
-        assert table.error.all()
+        assert table.error.tolist() == [False] + [True] * 4
         assert "overflows" in table[-1].error
         for row in table:
             _assert_row_is_scalar_path(row)
@@ -547,7 +547,6 @@ class TestWriters:
         ("vector", "V0", 2.0, 3.0, 5),       # 0/0 error row at V0 = 2.5
         ("vector", "E", 0.5, 4.0, 8),        # rows below threshold
         ("scalar", "V0", -3.0, 1.0, 9),      # 0/0 at V0 = -2.5
-        ("vector", "V0", -1e308, 1e308, 5),  # NaN and inf grid coordinates
     ])
     def test_json_is_json_dumps_of_the_rows(self, coupling, axis, start, stop, steps):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0, coupling=coupling)
@@ -557,6 +556,15 @@ class TestWriters:
         sweep_to_json(rows, buf)
         expected = json.dumps([_row_dict(row) for row in rows], indent=2, sort_keys=True)
         assert buf.getvalue() == expected + "\n"
+
+    def test_json_of_non_finite_grid_coordinates(self):
+        """NaN and inf coordinates are written as json.dumps writes them."""
+        rows = SweepTable(1.5, [math.nan, math.inf, -math.inf, 1e308, 0.0], 1.0, "vector")
+        buf = io.StringIO()
+        sweep_to_json(rows, buf)
+        expected = json.dumps([_row_dict(row) for row in rows], indent=2, sort_keys=True)
+        assert buf.getvalue() == expected + "\n"
+        assert "NaN" in expected and "-Infinity" in expected
 
     def test_csv_fields_are_17_digit_formats_of_the_rows(self):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
