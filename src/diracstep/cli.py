@@ -179,39 +179,39 @@ def run_scatter(args: argparse.Namespace) -> int:
     if args.E is None:
         raise ValueError("scatter requires --E")
     coupling = Coupling(args.coupling)
-    E, V0, m0 = args.E, args.V0, args.m0
+    single = args.sweep is None
+    if single:
+        table = scattering.SweepTable(args.E, args.V0, args.m0, coupling)
+    else:
+        axis, start, stop, steps = _parse_sweep(args.sweep)
+        table = scattering.sweep(args, axis, start, stop, steps)  # reads E, V0, m0, coupling
+    if table.error.all():
+        # no point has an answer: refuse with the first point's own reason
+        raise ValueError(table[0].error)
 
-    if args.sweep is None:
-        res = scattering.amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling=coupling))
-        print(
-            f"E={_g(E)} V0={_g(V0)} m0={_g(m0)} coupling={coupling.value} "
-            f"a={_g(res.a)} re_b={_g(res.b.real)} im_b={_g(res.b.imag)} "
-            f"re_R={_g(res.R.real)} im_R={_g(res.R.imag)} "
-            f"re_T={_g(res.T.real)} im_T={_g(res.T.imag)} "
-            f"r={_g(res.r)} t={_g(res.t)} regime={res.regime.value}"
-        )
+    if single:
+        row = table[0]
+        values = " ".join(f"{name}={_g(column[0])}" for name, column in table.values.items())
+        print(f"E={_g(row.E)} V0={_g(row.V0)} m0={_g(row.m0)} coupling={coupling.value} "
+              f"{values} regime={row.result.regime.value}")
         if args.output is None:
             return 0
         if args.format == "svg":
             raise ValueError("svg output needs a sweep (a single point is not a curve)")
-        table = scattering.SweepTable(E, V0, m0, coupling)
-    else:
-        axis, start, stop, steps = _parse_sweep(args.sweep)
-        table = scattering.sweep(_sweep_base(E, V0, m0, coupling, axis), axis, start, stop, steps)
 
     with _output(args.output) as out:
         if args.format == "csv":
             scattering.sweep_to_csv(table, out)
         elif args.format == "json":
-            scattering.sweep_to_json(table, out, single=args.sweep is None)
+            scattering.sweep_to_json(table, out, single=single)
         else:
             ok = ~table.error  # error rows may hold finite garbage (e.g. m0 <= 0)
             vlines: tuple[tuple[float, str], ...] = ()
             if coupling is Coupling.VECTOR:
                 if axis == "V0":
-                    vlines = ((E + m0, "V0 = E + m0"),)
+                    vlines = ((args.E + args.m0, "V0 = E + m0"),)
                 elif axis == "E":
-                    vlines = ((V0 - m0, "E = V0 - m0"),)
+                    vlines = ((args.V0 - args.m0, "E = V0 - m0"),)
             spec = svgplot.PlotSpec(
                 title=f"step scattering, {coupling.value} coupling",
                 x_label=axis, y_label="coefficient", vlines=vlines,
@@ -219,16 +219,6 @@ def run_scatter(args: argparse.Namespace) -> int:
             series = {"r": table.values["r"][ok], "t": table.values["t"][ok]}
             out.write(svgplot.render_svg(getattr(table, axis)[ok], series, spec))
     return 0
-
-
-def _sweep_base(E: float, V0: float, m0: float, coupling: Coupling, axis: str) -> ScatteringQuery:
-    """Base query for a sweep; the swept axis is overwritten per row, so a
-    below-threshold base value on that axis must not block construction."""
-    values = {"E": E, "V0": V0, "m0": m0}
-    if axis in ("E", "m0") and not E > m0:
-        # placeholder satisfying E > m0; every row replaces the swept value
-        values[axis] = 2.0 * m0 if axis == "E" else 0.5 * E
-    return ScatteringQuery(coupling=coupling, **values)
 
 
 def run_evolve(args: argparse.Namespace) -> int:

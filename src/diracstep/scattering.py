@@ -385,7 +385,10 @@ def sweep(
 ) -> SweepTable:
     """Evaluate the closed form along a uniform inclusive grid of one axis.
 
-    Invalid or degenerate grid points stay in the table as error rows.
+    Only base.E, base.V0, base.m0 and base.coupling are read, so any object
+    with those four attributes will do; the grid replaces the value on
+    `axis`, which is never used.  Invalid or degenerate grid points stay in
+    the table as error rows.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")

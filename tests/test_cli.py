@@ -218,6 +218,37 @@ class TestScatterSweep:
         assert main(["scatter", "--E", "2", "--sweep", "Q:0:4:5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,value,spec", [
+        ("--m0", "0", "m0:0.5:1.5:3"),
+        ("--m0", "-1", "m0:0.5:1.5:3"),
+        ("--m0", "nan", "m0:0.5:1.5:3"),
+        ("--E", "inf", "E:1.5:2.5:3"),
+        ("--E", "nan", "E:1.5:2.5:3"),
+        ("--V0", "nan", "V0:0:4:3"),
+    ])
+    def test_swept_flag_is_not_read(self, flag, value, spec, capsys):
+        """The flag on the swept axis does not count, whatever its value:
+        the run prints what it prints with a valid value there."""
+        valid = {"--E": "2", "--V0": "0.5", "--m0": "1"}
+        outputs = []
+        for flags in (valid, {**valid, flag: value}):
+            argv = ["scatter", "--sweep", spec] + [x for item in flags.items() for x in item]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "error" not in outputs[0].out
+
+    def test_sweep_without_an_answer_exits_2(self, tmp_path, capsys):
+        """A sweep none of whose points has an answer is refused with its
+        first point's message, as a single point is, and writes nothing."""
+        path = tmp_path / "f.csv"
+        assert main(["scatter", "--E", "2", "--sweep", "m0:2:3:5",
+                     "--output", str(path)]) == 2
+        message = scattering.SweepTable(2.0, 0.0, 2.0, "vector")[0].error
+        assert "below threshold" in message
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_holds_the_bytes_of_the_output_file(self, fmt, tmp_path, capsys):
         """Without --output a sweep streams to stdout exactly what the file

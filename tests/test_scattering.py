@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -458,6 +459,23 @@ class TestSweepMatchesScalarPath:
         assert "overflows" in table[-1].error
         for row in table:
             _assert_row_is_scalar_path(row)
+
+    @pytest.mark.parametrize("swept_value", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("coupling,base,axis,start,stop,steps", CROSS_CHECK_SWEEPS)
+    def test_swept_value_of_the_base_is_never_used(self, coupling, base, axis, start, stop,
+                                                   steps, swept_value):
+        """sweep() reads E, V0, m0 and coupling off its base, but never the
+        value on the swept axis: a base that no ScatteringQuery accepts
+        there gives the columns of a valid base, bit for bit."""
+        expected = sweep(ScatteringQuery(coupling=coupling, **base), axis, start, stop, steps)
+        invalid = SimpleNamespace(coupling=coupling, **dict(base, **{axis: swept_value}))
+        table = sweep(invalid, axis, start, stop, steps)
+
+        def columns(t):
+            return [t.E, t.V0, t.m0, t.regime, t.error, *t.values.values()]
+
+        for column, reference in zip(columns(table), columns(expected)):
+            assert column.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("coupling,base,axis,start,stop,steps", CROSS_CHECK_SWEEPS)
     def test_every_row_is_bitwise_amplitudes(self, coupling, base, axis, start, stop, steps):
