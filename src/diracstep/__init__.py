@@ -22,6 +22,7 @@ from .algebra import (
     representation_from_json,
     representation_to_json,
     verify_clifford,
+    write_representation_json,
 )
 from .dynamics import (
     Grid,
@@ -66,6 +67,7 @@ __all__ = [
     "representation_from_json",
     "representation_to_json",
     "verify_clifford",
+    "write_representation_json",
     "Coupling",
     "Regime",
     "ScatteringQuery",

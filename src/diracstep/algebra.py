@@ -32,8 +32,10 @@ same either way.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -275,6 +277,24 @@ def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(*m.shape, 2).tolist()
 
 
+def _matrix_json_text(m: np.ndarray) -> str:
+    """json.dumps(_matrix_to_json(m)), formatting each distinct entry once."""
+    pairs = np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(-1, 2)
+    # one code per bit pattern of an (re, im) pair, so -0.0 stays apart from 0.0
+    _, re_code = np.unique(pairs[:, 0], return_inverse=True)
+    im_bits, im_code = np.unique(pairs[:, 1], return_inverse=True)
+    _, first, entry = np.unique(re_code * len(im_bits) + im_code,
+                                return_index=True, return_inverse=True)
+    # json.dumps writes NaN and +-Infinity as the whole-matrix dump does
+    texts = [json.dumps(pair) for pair in pairs[first].view(np.float64).tolist()]
+    # each distinct entry followed by the next entry, the next row or the end
+    pieces = np.array([t + end for end in (", ", "], [", "]]") for t in texts], dtype=object)
+    follows = np.zeros(m.shape, dtype=np.intp)
+    follows[:, -1] = 1
+    follows[-1, -1] = 2
+    return "[[" + "".join(pieces[entry + len(texts) * follows.ravel()].tolist())
+
+
 def _matrix_from_json(name: str, rows: list) -> np.ndarray:
     # One flat list of the entries serves one type scan and one conversion;
     # a check per entry would cost as much as the conversion at dim 128.
@@ -307,6 +327,23 @@ def representation_to_json(rep: DiracRepresentation) -> dict:
         "alphas": [_matrix_to_json(a) for a in rep.alphas],
         "beta": _matrix_to_json(rep.beta),
     }
+
+
+def write_representation_json(rep: DiracRepresentation, stream: TextIO) -> None:
+    """Write ``json.dumps(representation_to_json(rep), sort_keys=True)`` and
+    a newline to the text stream, byte for byte, one matrix at a time.
+
+    Each matrix is formatted in one array pass: every distinct [re, im]
+    bit pattern is written once by json.dumps and the entries pick their
+    text by index, so a built matrix (at most four distinct patterns) costs
+    little more than a join, and one of all-distinct entries formats as
+    much as json.dumps would.
+    """
+    stream.write('{"alphas": [')
+    for i, a in enumerate(rep.alphas):
+        stream.write((", " if i else "") + _matrix_json_text(a))
+    stream.write(f'], "beta": {_matrix_json_text(rep.beta)}, '
+                 f'"dim": {json.dumps(rep.dim)}, "n": {json.dumps(rep.n)}}}\n')
 
 
 def representation_from_json(data: dict) -> DiracRepresentation:

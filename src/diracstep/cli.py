@@ -298,6 +298,12 @@ def run_evolve(args: argparse.Namespace) -> int:
 
 
 def run_algebra(args: argparse.Namespace) -> int:
+    # checked here, not by argparse, so that --config values are refused too
+    if args.n is not None and args.verify_json is not None:
+        raise ValueError("--n builds a representation and --verify-json reads one: "
+                         "give one of them")
+    if args.output is not None and args.emit_json is not None:
+        raise ValueError("--output and --emit-json both name the JSON file: give one of them")
     if args.output is not None and args.format != "json":
         raise ValueError("algebra writes its representation only as JSON: "
                          "add --format json to --output, or use --emit-json PATH")
@@ -321,7 +327,7 @@ def run_algebra(args: argparse.Namespace) -> int:
     emit_path = args.emit_json if args.emit_json is not None else args.output
     if emit_path is not None:
         with _output(emit_path) as out:
-            out.write(json.dumps(algebra.representation_to_json(rep), sort_keys=True) + "\n")
+            algebra.write_representation_json(rep, out)
     return 0 if report.passed else 1
 
 

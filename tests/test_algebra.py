@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from diracstep.algebra import (
     representation_from_json,
     representation_to_json,
     verify_clifford,
+    write_representation_json,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -440,3 +442,70 @@ class TestJsonRoundTrip:
         data["beta"][0] = [[1.0, 0.0, 0.0], [0.0]]
         with pytest.raises(ValueError, match="number pairs"):
             representation_from_json(data)
+
+
+def _dumped(rep: DiracRepresentation) -> str:
+    return json.dumps(representation_to_json(rep), sort_keys=True) + "\n"
+
+
+def _written(rep: DiracRepresentation) -> str:
+    out = io.StringIO()
+    write_representation_json(rep, out)
+    return out.getvalue()
+
+
+def _rotated(n: int, seed: int) -> DiracRepresentation:
+    rep = build_representation(n)
+    z = np.random.default_rng(seed).normal(size=(rep.dim, rep.dim, 2)) @ [1, 1j]
+    u, _ = np.linalg.qr(z)
+    return DiracRepresentation(n, rep.dim, tuple(u @ a @ u.conj().T for a in rep.alphas),
+                               u @ rep.beta @ u.conj().T)
+
+
+class TestJsonWriter:
+    """write_representation_json writes json.dumps' text, byte for byte."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_built_representation(self, n):
+        rep = build_representation(n)
+        assert _written(rep) == _dumped(rep)
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (6, 2)])
+    def test_rotated_non_monomial_set(self, n, seed):
+        rep = _rotated(n, seed)
+        assert _monomial(rep.beta) is None
+        assert _written(rep) == _dumped(rep)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, np.float32])
+    def test_real_dtypes_encode_as_complex(self, dtype):
+        a = np.array([[0, 1, 2], [-3, 0, 5], [7, -1, 0]]).astype(dtype)
+        rep = DiracRepresentation(2, 3, (a, a.T), -a)
+        assert _written(rep) == _dumped(rep)
+
+    def test_signed_zeros_stay_apart(self):
+        beta = np.array([[0.0, -0.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]])
+        rep = DiracRepresentation(1, 2, (beta.T,), beta)
+        text = _written(rep)
+        assert text == _dumped(rep)
+        assert '"beta": [[[0.0, 0.0], [-0.0, 0.0]], [[0.0, -0.0], [-0.0, -0.0]]]' in text
+
+    def test_non_finite_entries(self):
+        nan, inf = float("nan"), float("inf")
+        beta = np.array([[nan, complex(inf, -inf)], [complex(0.0, nan), -inf]])
+        rep = DiracRepresentation(1, 2, (beta.T,), beta)
+        text = _written(rep)
+        assert text == _dumped(rep)
+        assert "[NaN, 0.0], [Infinity, -Infinity]" in text
+
+    def test_dim_one_set(self):
+        rep = DiracRepresentation(2, 1, (np.array([[1.0]]), np.array([[-1j]])),
+                                  np.array([[0.5 - 0.0j]]))
+        assert _written(rep) == _dumped(rep)
+        assert _written(rep) == ('{"alphas": [[[[1.0, 0.0]]], [[[-0.0, -1.0]]]], '
+                                 '"beta": [[[0.5, 0.0]]], "dim": 1, "n": 2}\n')
+
+    def test_reloads_to_the_same_matrices(self):
+        rep = _rotated(4, 3)
+        back = representation_from_json(json.loads(_written(rep)))
+        for (_, a), (_, b) in zip(rep.matrices(), back.matrices()):
+            assert np.array_equal(a.view(np.float64), b.view(np.float64))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracstep import dynamics, scattering
+from diracstep import algebra, dynamics, scattering
 from diracstep.cli import _build_parser, main
 from diracstep.dynamics import OBSERVABLES_CSV_HEADER, SNAPSHOT_CSV_HEADER
 from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
@@ -610,6 +610,47 @@ class TestAlgebra:
         assert main(["algebra", "--n", "2", "--tolerance", tolerance]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_emit_json_is_the_json_dumps_text(self, n, tmp_path, capsys):
+        """The --emit-json file, and its re-emit through --verify-json, is
+        json.dumps(representation_to_json(rep), sort_keys=True) and a newline."""
+        rep = algebra.build_representation(n)
+        expected = json.dumps(algebra.representation_to_json(rep), sort_keys=True) + "\n"
+        path, again = tmp_path / "rep.json", tmp_path / "again.json"
+        assert main(["algebra", "--n", str(n), "--emit-json", str(path)]) == 0
+        assert path.read_text() == expected
+        assert main(["algebra", "--verify-json", str(path), "--emit-json", str(again)]) == 0
+        assert again.read_text() == expected
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_n_with_verify_json_exits_2(self, from_config, tmp_path, capsys):
+        """--n would be ignored by a --verify-json run, so the pair is refused,
+        from flags or from a config file."""
+        path, cfg = tmp_path / "rep.json", tmp_path / "cfg.json"
+        assert main(["algebra", "--n", "3", "--emit-json", str(path)]) == 0
+        capsys.readouterr()
+        cfg.write_text(json.dumps({"n": 5} if from_config else {}))
+        argv = ["algebra", "--config", str(cfg), "--verify-json", str(path)]
+        assert main(argv + ([] if from_config else ["--n", "5"])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n" in captured.err and "--verify-json" in captured.err
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_output_with_emit_json_exits_2(self, from_config, tmp_path, capsys):
+        """--output would be ignored beside --emit-json, so the pair is
+        refused, from flags or from a config file, and neither file is written."""
+        output, emit, cfg = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "cfg.json"
+        values = {"output": str(output), "format": "json"}
+        cfg.write_text(json.dumps(values if from_config else {}))
+        argv = ["algebra", "--n", "3", "--config", str(cfg), "--emit-json", str(emit)]
+        assert main(argv + ([] if from_config else ["--output", str(output), "--format", "json"])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--output" in captured.err and "--emit-json" in captured.err
+        assert not output.exists() and not emit.exists()
 
 
 class TestConfigFile:
