@@ -22,7 +22,6 @@ from .algebra import (
     representation_from_json,
     representation_to_json,
     verify_clifford,
-    write_representation_json,
 )
 from .dynamics import (
     Grid,
@@ -67,7 +66,6 @@ __all__ = [
     "representation_from_json",
     "representation_to_json",
     "verify_clifford",
-    "write_representation_json",
     "Coupling",
     "Regime",
     "ScatteringQuery",
