@@ -115,7 +115,10 @@ def _read_config(path: str, command: argparse.ArgumentParser,
     it would the flag; a switch takes a JSON boolean as it is.
     """
     with open(path) as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"config file {path} nests JSON too deeply to parse") from exc
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     defaults = vars(command.parse_args([]))
@@ -310,7 +313,7 @@ def run_algebra(args: argparse.Namespace) -> int:
 
     if args.verify_json is not None:
         with open(args.verify_json) as fh:
-            rep = algebra.representation_from_json(json.load(fh))
+            rep = algebra.read_representation_json(fh)
     else:
         if args.n is None:
             raise ValueError("algebra requires --n (or --verify-json)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 
@@ -19,6 +20,7 @@ from diracstep.algebra import (
     DiracRepresentation,
     build_representation,
     minimal_spinor_dimension,
+    read_representation_json,
     representation_from_json,
     representation_to_json,
     verify_clifford,
@@ -509,3 +511,77 @@ class TestJsonWriter:
         back = representation_from_json(json.loads(_written(rep)))
         for (_, a), (_, b) in zip(rep.matrices(), back.matrices()):
             assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def _bits(rep: DiracRepresentation) -> list[np.ndarray]:
+    return [m.view(np.int64) for _, m in rep.matrices()]
+
+
+@pytest.fixture
+def collector_restored():
+    """Put the cyclic garbage collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestJsonReader:
+    """read_representation_json is representation_from_json(json.load(...))
+    with the cyclic garbage collector paused."""
+
+    _N3 = representation_to_json(build_representation(3))
+
+    @pytest.mark.parametrize("text", [
+        _written(build_representation(3)),
+        json.dumps(_N3, indent=2),
+        json.dumps(dict(reversed(list(_N3.items())))),
+        json.dumps(dict(_N3, comment="ignored")),
+        _written(_rotated(5, 4)),
+    ], ids=["emit-json", "indent-2", "keys-reversed", "extra-key", "rotated-n5"])
+    def test_every_layout_reads_as_json_loads_does(self, text):
+        expected = representation_from_json(json.loads(text))
+        rep = read_representation_json(io.StringIO(text))
+        assert (rep.n, rep.dim) == (expected.n, expected.dim)
+        for a, b in zip(_bits(rep), _bits(expected)):
+            assert np.array_equal(a, b)
+
+    def test_rotated_layout_entries_all_differ(self):
+        beta = _rotated(5, 4).beta
+        assert len(np.unique(beta)) == beta.size
+
+    def test_collector_paused_during_conversion(self, monkeypatch, collector_restored):
+        """The conversion runs with the collector off and through the module
+        attribute, where a caller (such as a tracer) may have wrapped it."""
+        seen = []
+
+        def convert(data):
+            seen.append(gc.isenabled())
+            return representation_from_json(data)
+
+        gc.enable()
+        monkeypatch.setattr(algebra, "representation_from_json", convert)
+        read_representation_json(io.StringIO(_written(build_representation(2))))
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("text, error", [
+        (_written(build_representation(2)), None),
+        ('{"n": 1, "dim"', json.JSONDecodeError),
+        ('{"n": 1, "dim": 2, "alphas": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],'
+         ' "beta": [[[true, false], [0, 0]], [[0, 0], [-1, 0]]]}', ValueError),
+        ("[" * 100000 + "]" * 100000, ValueError),
+    ], ids=["good", "not-json", "refused-entry", "deep"])
+    def test_collector_left_as_found(self, enabled, text, error, collector_restored):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if error is None:
+            read_representation_json(io.StringIO(text))
+        else:
+            with pytest.raises(error):
+                read_representation_json(io.StringIO(text))
+        assert gc.isenabled() is enabled

@@ -17,6 +17,9 @@ from diracstep.cli import _build_parser, main
 from diracstep.dynamics import OBSERVABLES_CSV_HEADER, SNAPSHOT_CSV_HEADER
 from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
 
+# nested far past the JSON parser's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
 
 def _regime_counts(csv_text: str) -> dict[str, int]:
     counts: dict[str, int] = {}
@@ -597,6 +600,8 @@ class TestAlgebra:
         ' "beta": [[[1, 0], null], [[0, 0], [-1, 0]]]}',
         '{"n": 1, "dim": 2, "alphas": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],'
         ' "beta": [[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}',
+        '{"n": 1, "dim": 2, "alphas": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]],'
+        ' "beta": [[[true, false], [0, 0]], [[0, 0], [-1, 0]]]}',
     ])
     def test_malformed_verify_json_exits_2(self, text, tmp_path, capsys):
         path = tmp_path / "rep.json"
@@ -604,6 +609,16 @@ class TestAlgebra:
         assert main(["algebra", "--verify-json", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_deeply_nested_verify_json_exits_2(self, tmp_path, capsys):
+        """Nesting past the parser's recursion limit is a malformed file,
+        not a traceback."""
+        path = tmp_path / "rep.json"
+        path.write_text(DEEP_JSON)
+        assert main(["algebra", "--verify-json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "too deeply" in captured.err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_exits_2(self, tolerance, capsys):
@@ -668,6 +683,14 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "'xml'" in captured.err
         assert not out.exists()
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(DEEP_JSON)
+        assert main(["scatter", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "too deeply" in captured.err
 
     def test_config_null_for_defaulted_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
