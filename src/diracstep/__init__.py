@@ -43,9 +43,6 @@ from .scattering import (
     SweepRow,
     SweepTable,
     amplitudes,
-    classify_regime,
-    coefficients,
-    incident_factor,
     sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -74,9 +71,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "amplitudes",
-    "classify_regime",
-    "coefficients",
-    "incident_factor",
     "sweep",
     "sweep_to_csv",
     "sweep_to_json",

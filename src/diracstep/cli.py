@@ -44,21 +44,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", metavar="PATH", help="output file (default: stdout)")
-    common.add_argument("--format", choices=_FORMATS, default="csv",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", metavar="PATH", help="output file (default: stdout)")
+    output.add_argument("--format", choices=_FORMATS, default="csv",
                         help="output format (default: %(default)s)")
-    common.add_argument("--config", metavar="PATH",
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH",
                         help="JSON file providing parameter values; flags win on conflict")
 
-    p = sub.add_parser("scatter", parents=[common],
+    p = sub.add_parser("scatter", parents=[output, config],
                        help="closed-form step scattering (single query or sweep)")
     p.add_argument("--E", type=float, help="incident energy (> m0)")
     _add_step_arguments(p)
     p.add_argument("--sweep", metavar="AXIS:FROM:TO:STEPS",
                    help="sweep one of E, V0, m0 over an inclusive grid")
 
-    p = sub.add_parser("evolve", parents=[common],
+    p = sub.add_parser("evolve", parents=[output, config],
                        help="split-step wave-packet evolution across the step")
     _add_step_arguments(p)
     energy = p.add_mutually_exclusive_group()
@@ -84,7 +85,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--snapshots", action="store_true",
                    help="write a full-field CSV snapshot at every record point")
 
-    p = sub.add_parser("algebra", parents=[common],
+    p = sub.add_parser("algebra", parents=[config],
                        help="build/verify Dirac matrices in n+1 dimensions")
     p.add_argument("--n", type=int, help="number of spatial dimensions (>= 1)")
     p.add_argument("--tolerance", type=float, default=1e-12,
@@ -305,11 +306,6 @@ def run_algebra(args: argparse.Namespace) -> int:
     if args.n is not None and args.verify_json is not None:
         raise ValueError("--n builds a representation and --verify-json reads one: "
                          "give one of them")
-    if args.output is not None and args.emit_json is not None:
-        raise ValueError("--output and --emit-json both name the JSON file: give one of them")
-    if args.output is not None and args.format != "json":
-        raise ValueError("algebra writes its representation only as JSON: "
-                         "add --format json to --output, or use --emit-json PATH")
 
     if args.verify_json is not None:
         with open(args.verify_json) as fh:
@@ -327,9 +323,8 @@ def run_algebra(args: argparse.Namespace) -> int:
     for name, deviation in report.failures:
         print(f"  failed: {name} (deviation {format(deviation, '.6g')})")
 
-    emit_path = args.emit_json if args.emit_json is not None else args.output
-    if emit_path is not None:
-        with _output(emit_path) as out:
+    if args.emit_json is not None:
+        with _output(args.emit_json) as out:
             algebra.write_representation_json(rep, out)
     return 0 if report.passed else 1
 

@@ -62,25 +62,24 @@ class Grid:
     """Uniform periodic spatial grid.
 
     n must be a power of two (>= 256) for the FFT sizes this module is
-    tuned for; the domain is [x0, x0 + length) with x0 defaulting to
-    -length/2.  Wavenumbers are k_j = 2*pi*j/length, j in [-n/2, n/2).
+    tuned for; the domain is [x0, x0 + length) with x0 = -length/2, centred
+    on 0.  Wavenumbers are k_j = 2*pi*j/length, j in [-n/2, n/2).
     The coordinate arrays x and k are computed once per grid and are
     read-only.
     """
 
     n: int
     length: float
-    x0: float | None = None
 
     def __post_init__(self):
         if self.n < 256 or self.n & (self.n - 1) != 0:
             raise ValueError(f"n must be a power of two >= 256, got {self.n}")
         if not (self.length > 0 and math.isfinite(self.length)):
             raise ValueError(f"domain length must be positive and finite, got {self.length}")
-        if self.x0 is None:
-            object.__setattr__(self, "x0", -0.5 * self.length)
-        elif not math.isfinite(self.x0):
-            raise ValueError(f"domain origin x0 must be finite, got {self.x0}")
+
+    @property
+    def x0(self) -> float:
+        return -0.5 * self.length
 
     @property
     def dx(self) -> float:
@@ -255,10 +254,8 @@ def _unitary(c: np.ndarray, s: np.ndarray, h) -> _Factor:
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one row broadcasts over both components and halves the field's memory;
-    # so does a real field held as float64
-    field = a if np.array_equal(a, b) else np.stack([a, b])
-    return field if field.imag.any() else field.real.copy()
+    # one row broadcasts over both components and halves the field's memory
+    return a if np.array_equal(a, b) else np.stack([a, b])
 
 
 def _free_factor(grid: Grid, m0: float, dt: float) -> _Factor:

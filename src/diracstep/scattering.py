@@ -80,6 +80,10 @@ _COUPLING_MATRICES = {
 
 
 class Regime(str, Enum):
+    """Vector: transmission iff E - V0 > m0, Klein zone iff V0 > E + m0,
+    evanescent otherwise.  Scalar: transmission iff E > |m0 + V0|,
+    evanescent otherwise; there is no scalar Klein zone."""
+
     TRANSMISSION = "transmission"
     EVANESCENT = "evanescent"
     KLEIN_ZONE = "klein_zone"
@@ -129,21 +133,6 @@ class ScatteringResult:
     regime: Regime
 
 
-def incident_factor(E: float, m0: float) -> float:
-    """Incident-side kinematic factor a = sqrt(E^2 - m0^2)/(E + m0).
-
-    Equals sqrt((E - m0)/(E + m0)); lies in [0, 1).  Requires E >= m0 > 0
-    (E = m0 is the threshold, a = 0) and a finite E.
-    """
-    if not m0 > 0:
-        raise ValueError(f"m0 must be positive, got {m0}")
-    if not math.isfinite(E):
-        raise ValueError(f"E must be finite, got {E}")
-    if E < m0:
-        raise ValueError(f"incident wave below threshold: E={E} < m0={m0}")
-    return math.sqrt(E * E - m0 * m0) / (E + m0)
-
-
 def _channel(coupling: Coupling, E, V0, m0):
     """The (omega, mass) pair on the transmitted side of the step.
 
@@ -188,28 +177,10 @@ def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> co
 
     Principal square root: negative radicand -> +i*sqrt(|.|), the decaying
     evanescent branch.  In the vector Klein zone (V0 > E + m0) the radicand
-    is positive and the denominator negative, so b < 0.
+    is positive and the denominator negative, so b < 0.  Refuses exactly
+    the points amplitudes() refuses, with its messages.
     """
-    q = ScatteringQuery(E, V0, m0, coupling)  # refuses what amplitudes() refuses
-    return _step_factor(*_channel(q.coupling, E, V0, m0))
-
-
-def coefficients(a: float, b: complex, R: complex, T: complex) -> tuple[float, float]:
-    """Flux-ratio coefficients (r, t) from amplitudes.
-
-    r = |R|^2 and t = Re(b)/a * |T|^2, the reflected and transmitted
-    probability currents normalized to the incident one (the spinor
-    convention behind a and b is (1, a)-type, giving current 2k/(E+m0)
-    per unit density: the density factors cancel in the ratios and only
-    Re(b)/a survives in t).  For real b the identity
-    (a-b)^2 + 4ab = (a+b)^2 makes r + t = 1 exact; for purely imaginary b
-    (evanescent) t = 0 and r = 1.
-    """
-    if not a > 0:
-        raise ValueError(f"incident factor must be positive, got a={a}")
-    r = R.real * R.real + R.imag * R.imag
-    t = (b.real / a) * (T.real * T.real + T.imag * T.imag)
-    return r, t
+    return amplitudes(ScatteringQuery(E, V0, m0, coupling)).b
 
 
 def _regime(omega: float, mass: float) -> Regime:
@@ -220,35 +191,32 @@ def _regime(omega: float, mass: float) -> Regime:
     return Regime.EVANESCENT
 
 
-def classify_regime(q: ScatteringQuery) -> Regime:
-    """Transmission / evanescent / Klein-zone classification.
-
-    Vector: Transmission iff E - V0 > m0; KleinZone iff V0 > E + m0;
-    Evanescent otherwise (boundaries included).  Scalar: Transmission iff
-    E > |m0 + V0|, Evanescent otherwise; no Klein zone exists.
-    """
-    return _regime(*_channel(q.coupling, q.E, q.V0, q.m0))
-
-
 def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     """Solve one query: factors, amplitudes R and T, coefficients, regime.
 
     R = (a - b)/(a + b), T = 2a/(a + b); the continuity identity 1 + R = T
     holds by construction.  Raises SingularConfigurationError at the
     isolated degenerate points where a + b = 0 or b is a 0/0 limit, and
-    ValueError where the closed form overflows (E^2, omega^2 or mass^2
-    past the float range), which leaves r or t non-finite.
+    ValueError where a is not positive (E and m0 so small that it underflows
+    to 0, or so large that E^2 and m0^2 overflow) or the closed form
+    overflows (E^2, omega^2 or mass^2 past the float range), which leaves r
+    or t non-finite.
     """
     omega, mass = _channel(q.coupling, q.E, q.V0, q.m0)
-    a = incident_factor(q.E, q.m0)
+    # the query holds finite E > m0 > 0, so the radicand is not negative
+    a = math.sqrt(q.E * q.E - q.m0 * q.m0) / (q.E + q.m0)
     b = _step_factor(omega, mass)
     if a + b == 0:
         raise SingularConfigurationError(
             f"a + b = 0 at E={q.E}, V0={q.V0}, m0={q.m0}: amplitudes diverge"
         )
+    if not a > 0:
+        raise ValueError(f"incident factor must be positive, got a={a}")
     R = (a - b) / (a + b)
     T = 2 * a / (a + b)
-    r, t = coefficients(a, b, R, T)
+    # flux ratios: the spinor densities cancel and only Re(b)/a survives in t
+    r = R.real * R.real + R.imag * R.imag
+    t = (b.real / a) * (T.real * T.real + T.imag * T.imag)
     if not (math.isfinite(r) and math.isfinite(t)):
         raise ValueError(
             f"closed form overflows at E={q.E}, V0={q.V0}, m0={q.m0}: "

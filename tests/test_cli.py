@@ -573,24 +573,25 @@ class TestAlgebra:
         assert main(["algebra"]) == 2
         assert "--n" in capsys.readouterr().err
 
-    def test_json_output_path(self, tmp_path, capsys):
-        path = tmp_path / "rep.json"
-        assert main(["algebra", "--n", "1", "--output", str(path),
-                     "--format", "json"]) == 0
-        capsys.readouterr()
-        data = json.loads(path.read_text())
-        assert data["n"] == 1 and data["dim"] == 2
+    @pytest.mark.parametrize("flag, value", [("--output", "rep.json"), ("--format", "json")])
+    def test_output_flags_exit_2(self, flag, value, tmp_path, monkeypatch, capsys):
+        """--emit-json names algebra's one file: argparse knows no --output
+        and no --format there."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["algebra", "--n", "3", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("fmt", [None, "csv", "svg"])
-    def test_output_without_json_format_exits_2(self, fmt, tmp_path, capsys):
-        path = tmp_path / "rep.out"
-        argv = ["algebra", "--n", "3", "--output", str(path)]
-        assert main(argv + (["--format", fmt] if fmt else [])) == 2
+    @pytest.mark.parametrize("key", ["output", "format"])
+    def test_output_config_keys_exit_2(self, key, tmp_path, capsys):
+        path, cfg = tmp_path / "rep.json", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(path) if key == "output" else "json"}))
+        assert main(["algebra", "--n", "3", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--format json" in captured.err and "--emit-json" in captured.err
+        assert captured.out == "" and f"unknown config keys: {key}" in captured.err
         assert not path.exists()
-
 
     @pytest.mark.parametrize("text", [
         '[1, 2]',
@@ -652,20 +653,6 @@ class TestAlgebra:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--n" in captured.err and "--verify-json" in captured.err
-
-    @pytest.mark.parametrize("from_config", [False, True])
-    def test_output_with_emit_json_exits_2(self, from_config, tmp_path, capsys):
-        """--output would be ignored beside --emit-json, so the pair is
-        refused, from flags or from a config file, and neither file is written."""
-        output, emit, cfg = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "cfg.json"
-        values = {"output": str(output), "format": "json"}
-        cfg.write_text(json.dumps(values if from_config else {}))
-        argv = ["algebra", "--n", "3", "--config", str(cfg), "--emit-json", str(emit)]
-        assert main(argv + ([] if from_config else ["--output", str(output), "--format", "json"])) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--output" in captured.err and "--emit-json" in captured.err
-        assert not output.exists() and not emit.exists()
 
 
 class TestConfigFile:

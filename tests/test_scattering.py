@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -21,9 +22,6 @@ from diracstep.scattering import (
     SweepTable,
     _step_factor,
     amplitudes,
-    classify_regime,
-    coefficients,
-    incident_factor,
     sweep,
     sweep_to_csv,
     sweep_to_json,
@@ -32,6 +30,12 @@ from diracstep.scattering import (
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
+# Signed zeros, 1 and its neighbours, the feature points of (1.5, 3, 1),
+# underflow, overflow and non-finite values; at (E, V0, m0) = (1e20, 2e20, 1)
+# a vector step gives a + b = 0.
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                  0.5, 2.0, 2.5, 3.0, 1e-300, 5e-324, 1e154, 1e200, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan, 1e20, 2e20]
 
 
 def test_coupling_matrices():
@@ -42,42 +46,36 @@ def test_coupling_matrices():
 
 
 class TestIncidentFactor:
-    def test_hand_values(self):
-        assert np.isclose(incident_factor(2.0, 1.0), SQRT3 / 3, rtol=0, atol=1e-15)
-        assert np.isclose(incident_factor(1.5, 1.0), SQRT5 / 5, rtol=0, atol=1e-15)
+    """The incident factor a is the amplitudes() field `a`."""
 
-    def test_threshold_is_zero(self):
-        assert incident_factor(1.0, 1.0) == 0.0
+    def test_hand_values(self):
+        a = amplitudes(ScatteringQuery(E=2.0, V0=0.0, m0=1.0)).a
+        assert np.isclose(a, SQRT3 / 3, rtol=0, atol=1e-15)
+        a = amplitudes(ScatteringQuery(E=1.5, V0=0.0, m0=1.0)).a
+        assert np.isclose(a, SQRT5 / 5, rtol=0, atol=1e-15)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             m0 = rng.uniform(0.1, 3.0)
             e = m0 * (1.0 + rng.uniform(0.0, 50.0))
-            a = incident_factor(e, m0)
+            a = amplitudes(ScatteringQuery(E=e, V0=0.0, m0=m0)).a
             assert 0.0 <= a < 1.0
             # equivalent closed form sqrt((E-m0)/(E+m0))
             assert np.isclose(a, math.sqrt((e - m0) / (e + m0)), rtol=1e-13, atol=0)
 
-    def test_rejects_below_threshold_and_bad_mass(self):
-        with pytest.raises(ValueError):
-            incident_factor(0.5, 1.0)
-        with pytest.raises(ValueError):
-            incident_factor(1.0, 0.0)
-        with pytest.raises(ValueError):
-            incident_factor(1.0, -1.0)
-
-    def test_rejects_non_finite_energy(self):
-        for E in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                incident_factor(E, 1.0)
+    def test_underflow_to_zero_is_refused(self):
+        """E and m0 pass the query's checks, but a underflows to 0."""
+        with pytest.raises(ValueError, match="incident factor must be positive, got a=0.0"):
+            amplitudes(ScatteringQuery(E=1e-200, V0=1.0, m0=5e-201))
 
 
 class TestTransmittedFactor:
     def test_zero_step_reduces_to_incident_bitwise(self):
         for coupling in (Coupling.VECTOR, Coupling.SCALAR):
             b = transmitted_factor(1.7, 0.0, 0.9, coupling)
-            assert b == complex(incident_factor(1.7, 0.9), 0.0)
+            a = amplitudes(ScatteringQuery(E=1.7, V0=0.0, m0=0.9, coupling=coupling)).a
+            assert b == complex(a, 0.0)
 
     def test_klein_zone_value(self):
         b = transmitted_factor(1.5, 3.0, 1.0, Coupling.VECTOR)
@@ -109,6 +107,26 @@ class TestTransmittedFactor:
                           (1.5, math.nan), (1.5, math.inf), (1.5, -math.inf)]:
                 with pytest.raises(ValueError, match="finite"):
                     transmitted_factor(E, V0, 1.0, coupling)
+
+    def test_overflow_is_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            transmitted_factor(1e200, 0.5, 1.0, "vector")
+
+    @pytest.mark.parametrize("coupling", ["vector", "scalar"])
+    def test_refuses_where_amplitudes_refuses(self, coupling):
+        """On every triple of SPECIAL_VALUES: the same exception and message
+        where amplitudes() refuses, and its b bit for bit where it answers."""
+        for E, V0, m0 in itertools.product(SPECIAL_VALUES, repeat=3):
+            try:
+                expected = amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling=coupling)).b
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as refused:
+                    transmitted_factor(E, V0, m0, coupling)
+                assert str(refused.value) == str(exc)
+                continue
+            b = transmitted_factor(E, V0, m0, coupling)
+            assert (float.hex(b.real), float.hex(b.imag)) == \
+                (float.hex(expected.real), float.hex(expected.imag))
 
     def test_degenerate_point_is_singular(self):
         with pytest.raises(SingularConfigurationError):
@@ -154,9 +172,10 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="E > m0"):
             ScatteringQuery(E=1.0, V0=1.0, m0=1.0)
 
-    def test_rejects_bad_mass(self):
+    @pytest.mark.parametrize("m0", [0.0, -1.0])
+    def test_rejects_bad_mass(self, m0):
         with pytest.raises(ValueError, match="m0"):
-            ScatteringQuery(E=1.0, V0=0.0, m0=-1.0)
+            ScatteringQuery(E=1.0, V0=0.0, m0=m0)
 
     @pytest.mark.parametrize("field", ["E", "V0", "m0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -222,10 +241,6 @@ class TestAmplitudes:
                 assert res.t == 0.0
                 assert abs(res.r - 1.0) <= 1e-12
 
-    def test_rejects_pseudoscalar(self):
-        with pytest.raises(ValueError, match="pseudoscalar"):
-            amplitudes(ScatteringQuery(E=2.0, V0=1.0, coupling="pseudoscalar"))
-
     def test_singular_configuration_raises(self):
         with pytest.raises(SingularConfigurationError):
             amplitudes(ScatteringQuery(E=1.5, V0=2.5, m0=1.0))
@@ -246,19 +261,7 @@ class TestAmplitudes:
         assert row.result is None and "overflows" in row.error
 
 
-class TestCoefficients:
-    def test_klein_example(self):
-        a, b = SQRT5 / 5, complex(-SQRT5, 0.0)
-        r, t = coefficients(a, b, (a - b) / (a + b), 2 * a / (a + b))
-        assert abs(r - 2.25) <= 1e-14
-        assert abs(t + 1.25) <= 1e-14
-
-    def test_rejects_nonpositive_a(self):
-        with pytest.raises(ValueError):
-            coefficients(0.0, 1.0 + 0j, 0j, 1.0 + 0j)
-
-
-class TestClassifyRegime:
+class TestRegime:
     @pytest.mark.parametrize(
         "e,v0,m0,coupling,expected",
         [
@@ -266,7 +269,6 @@ class TestClassifyRegime:
             (1.5, 0.0, 1.0, "vector", Regime.TRANSMISSION),
             (1.5, 1.0, 1.0, "vector", Regime.EVANESCENT),
             (1.5, 0.5, 1.0, "vector", Regime.EVANESCENT),  # boundary E-V0 = m0
-            (1.5, 2.5, 1.0, "vector", Regime.EVANESCENT),  # boundary V0 = E+m0
             (1.5, 3.0, 1.0, "scalar", Regime.EVANESCENT),
             (1.5, 0.2, 1.0, "scalar", Regime.TRANSMISSION),
             (1.5, 0.5, 1.0, "scalar", Regime.EVANESCENT),  # boundary E = m0+V0
@@ -276,7 +278,7 @@ class TestClassifyRegime:
     )
     def test_table(self, e, v0, m0, coupling, expected):
         q = ScatteringQuery(E=e, V0=v0, m0=m0, coupling=coupling)
-        assert classify_regime(q) is expected
+        assert amplitudes(q).regime is expected
 
     def test_scalar_never_klein(self):
         rng = np.random.default_rng(8)
@@ -285,7 +287,7 @@ class TestClassifyRegime:
             e = m0 * (1.0 + rng.uniform(0.01, 6.0))
             v0 = rng.uniform(-8.0 * m0, 12.0 * m0)
             q = ScatteringQuery(E=e, V0=v0, m0=m0, coupling="scalar")
-            assert classify_regime(q) is not Regime.KLEIN_ZONE
+            assert amplitudes(q).regime is not Regime.KLEIN_ZONE
 
     def test_klein_iff_r_above_one_on_grid(self):
         for e in np.linspace(1.05, 4.95, 40):
@@ -297,12 +299,12 @@ class TestClassifyRegime:
 
 
 @pytest.mark.parametrize("refuse", [
-    classify_regime,
+    amplitudes,
     lambda q: SweepTable(q.E, q.V0, q.m0, q.coupling),
     lambda q: sweep(q, "V0", 0.0, 4.0, 5),
-], ids=["classify_regime", "SweepTable", "sweep"])
+], ids=["amplitudes", "SweepTable", "sweep"])
 def test_pseudoscalar_has_no_closed_form(refuse):
-    """transmitted_factor and amplitudes refuse it too (tested above)."""
+    """transmitted_factor refuses it too (tested above)."""
     with pytest.raises(ValueError, match="pseudoscalar"):
         refuse(ScatteringQuery(E=2.0, V0=1.0, coupling="pseudoscalar"))
 
@@ -511,15 +513,11 @@ class TestSweepMatchesScalarPath:
     @pytest.mark.parametrize("coupling", ["vector", "scalar"])
     def test_error_rows_are_where_amplitudes_refuses(self, coupling):
         """The kernel's four-term validity rule, checked on every triple of
-        signed zeros, 1 and its neighbours, the feature points of
-        (1.5, 3, 1), underflow, overflow and non-finite values.  At
-        (E, V0, m0) = (1e20, 2e20, 1) a vector step gives a + b = 0."""
-        values = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
-                  0.5, 2.0, 2.5, 3.0, 1e-300, 5e-324, 1e154, 1e200, 1e308, -1e308,
-                  math.inf, -math.inf, math.nan, 1e20, 2e20]
-        E, V0, m0 = (axis.ravel() for axis in np.meshgrid(values, values, values, indexing="ij"))
+        SPECIAL_VALUES."""
+        grid = np.meshgrid(SPECIAL_VALUES, SPECIAL_VALUES, SPECIAL_VALUES, indexing="ij")
+        E, V0, m0 = (axis.ravel() for axis in grid)
         table = SweepTable(E, V0, m0, coupling)
-        assert len(table) == len(values) ** 3 and table.error.any() and not table.error.all()
+        assert len(table) == len(SPECIAL_VALUES) ** 3 and table.error.any() and not table.error.all()
         for column in table.values.values():
             assert np.isfinite(column[~table.error]).all()
         for row in table:
