@@ -59,6 +59,11 @@ class TestGrid:
         with pytest.raises(AttributeError):
             g.x0 = 0.0
 
+    @pytest.mark.parametrize("x0", [0.0, math.nan, -math.inf])
+    def test_origin_is_not_a_parameter(self, x0):
+        with pytest.raises(TypeError, match="x0"):
+            Grid(n=256, length=10.0, x0=x0)
+
     @pytest.mark.parametrize("n", [128, 255, 300, 257])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
@@ -304,6 +309,17 @@ class TestPotentialPropagator:
         for coupling in ("vector", "scalar"):
             _, off = _kick_factor(PotentialProfile(coupling=coupling, v0=1.3), g, 0.4)
             assert off is None
+
+    @pytest.mark.parametrize("coupling", ["vector", "scalar", "pseudoscalar"])
+    def test_coefficient_fields_are_complex128(self, coupling):
+        """Every kick and free field is complex128, like psi, so applying
+        one never casts."""
+        g = Grid(n=256, length=32.0)
+        profile = PotentialProfile(coupling=coupling, v0=1.3, x_step=-2.0, smoothing=1.0)
+        for m0 in (0.0, 1.0):
+            factors = (_kick_factor(profile, g, 0.4), _free_factor(g, m0, 0.4))
+            fields = [field for factor in factors for field in factor if field is not None]
+            assert fields and all(field.dtype == np.complex128 for field in fields)
 
 
 class TestMeasure:

@@ -64,6 +64,11 @@ class TestIncidentFactor:
             # equivalent closed form sqrt((E-m0)/(E+m0))
             assert np.isclose(a, math.sqrt((e - m0) / (e + m0)), rtol=1e-13, atol=0)
 
+    def test_positive_just_above_threshold(self):
+        """The query refuses E = m0; the next E above it gives a > 0."""
+        a = amplitudes(ScatteringQuery(E=math.nextafter(1.0, 2.0), V0=0.0, m0=1.0)).a
+        assert 0.0 < a and np.isclose(a, math.sqrt(np.finfo(float).eps / 2), rtol=1e-6, atol=0)
+
     def test_underflow_to_zero_is_refused(self):
         """E and m0 pass the query's checks, but a underflows to 0."""
         with pytest.raises(ValueError, match="incident factor must be positive, got a=0.0"):
