@@ -18,13 +18,24 @@ spectral (FFT), so there is no fermion doubling.
 Between record points the two adjacent half-kicks of consecutive steps
 are fused into one full kick, so a run of n steps costs n kicks, not 2n;
 every record point and the final step end on a trailing half-kick, so
-recorded states are the Strang states to roundoff.  Finiteness is checked
-at record points only: a NaN or inf spreads over the whole field through
-the FFT, so a fault is still caught, and reported as "detected by step N"
-with N the record point that caught it.  Non-finite parameters (grid,
-profile, packet or dt) are refused with ValueError before any step runs.
-A run that wrapped around the periodic domain, or whose waves the grid
-cannot carry, ends with a WrappedWarning or an UnresolvedWarning.
+recorded states are the Strang states to roundoff.
+
+When the potential factor is one number at every grid point and commutes
+with H0 (a zero potential under any coupling, or a vector potential that is
+uniform over the grid, such as a step left of the domain), n Strang steps
+are exactly exp(-i V n dt) exp(-i H0 n dt) per momentum mode.  Such a run
+transforms the initial field once and jumps from it to each step it reads,
+at the cost of one inverse FFT there, and takes no steps.  A uniform scalar
+or pseudoscalar potential does not commute with H0, so it still steps and
+keeps the splitting error of Strang.
+
+Finiteness is checked at record points only: a NaN or inf spreads over the
+whole field through the FFT, so a fault is still caught, and reported as
+"detected by step N" with N the record point that caught it.  Non-finite
+parameters (grid, profile, packet or dt) are refused with ValueError before
+any step runs.  A run that wrapped around the periodic domain, or whose
+waves the grid cannot carry, ends with a WrappedWarning or an
+UnresolvedWarning.
 
 A wave packet is stored as a (2, N) complex field on a uniform periodic
 grid.  Packets are initialized in momentum space as superpositions of
@@ -351,9 +362,14 @@ def evolve(
     above 0.5*dx degrades the splitting accuracy (the method stays
     unitary and stable); that is reported as a warning, not an error.
     Kicks are fused and non-finite fields abort as the module docstring
-    says.  The run reads the probability in bands of n/16 grid points at
-    both domain edges and around the step, after its last step and often
-    enough before that no front at speed 1 skips a band.  It ends with a
+    says.  A potential that is one value at every grid point, zero under
+    any coupling or any value under vector coupling, commutes with H0: the
+    run then jumps from the initial field to each step it reads with the
+    exact propagator, one inverse FFT per reading instead of an FFT pair
+    per step.  Uniform scalar and pseudoscalar potentials still step.  The
+    run reads the probability in bands of n/16 grid points at both domain
+    edges and around the step, after its last step and often enough before
+    that no front at speed 1 skips a band.  It ends with a
     WrappedWarning if the edge bands gained more than 1e-4 over step 0,
     and with an UnresolvedWarning if the energies E of the initial
     spectrum allow k >= pi/dx (k <= E, and k <= |E - V0| past a vector
@@ -373,9 +389,12 @@ def evolve(
             stacklevel=2,
         )
     x_split = profile.split_position(grid)
-    half_kick = _kick_factor(profile, grid, 0.5 * dt)
-    kick = _kick_factor(profile, grid, dt)
-    free = _free_factor(grid, state.m0, dt)
+    values = profile.values(grid.x)
+    # one number at every point, and coupled through the identity unless it is 0
+    if (values == values[0]).all() and (profile.coupling is Coupling.VECTOR or not values[0]):
+        advance = _exact_jumps(state, float(values[0]), dt)
+    else:
+        advance = _strang_steps(state, profile, dt)
     width = grid.n // _BANDS
     lo, hi = np.searchsorted(grid.x, profile.x_step + np.array([-0.5, 0.5]) * width * grid.dx)
     bands = (np.r_[:width, grid.n - width:grid.n], slice(lo, hi))  # edges, step
@@ -388,28 +407,73 @@ def evolve(
     records = [measure(state, x_split, step=0)]
     if on_record is not None:
         on_record(state, 0)
-    psi = np.array(state.psi)
-    _apply(half_kick, psi)
-    for step in range(1, n_steps + 1):
-        psi = np.fft.fft(psi, axis=1)
-        _apply(free, psi)
-        psi = np.fft.ifft(psi, axis=1)
+    step = 0
+    while step < n_steps:
+        # the next band check, record point or final step
+        step = min(n_steps, (step // check_every + 1) * check_every,
+                   (step // record_every + 1) * record_every)
+        record = not step % record_every or step == n_steps
+        psi = advance(step, record)
         if not step % check_every or step == n_steps:
-            # a kick is a unitary per point: the one pending leaves the density as it is
             peak = np.maximum(peak, band_probabilities(psi))
-        if step % record_every and step < n_steps:
-            _apply(kick, psi)  # this step's trailing and the next step's leading half
+        if not record:
             continue
-        _apply(half_kick, psi)
         if not np.isfinite(psi).all():
             raise FloatingPointError(f"non-finite field values detected by step {step}")
         snapshot = WavePacketState(grid, psi, state.time + step * dt, state.m0)
         records.append(measure(snapshot, x_split, step=step))
         if on_record is not None:
             on_record(snapshot, step)
-        _apply(half_kick, psi)  # the next step's leading half
     _judge(state, profile, edge_gain=peak[0] - start[0], step_peak=peak[1])
     return snapshot, records
+
+
+# An advance maps (step, record) to the field at that step, for steps that
+# increase from call to call.  With record true the field is the state at
+# that step; otherwise it may still lack a kick, which acts per point and
+# leaves the density, and so the band readings, as they are.
+_Advance = Callable[[int, bool], np.ndarray]
+
+
+def _strang_steps(state: WavePacketState, profile: PotentialProfile, dt: float) -> _Advance:
+    """Strang steps with the adjacent half-kicks of consecutive steps fused."""
+    grid = state.grid
+    half_kick = _kick_factor(profile, grid, 0.5 * dt)
+    kick = _kick_factor(profile, grid, dt)
+    free = _free_factor(grid, state.m0, dt)
+    psi, pending, done = np.array(state.psi), half_kick, 0
+
+    def advance(step: int, record: bool) -> np.ndarray:
+        nonlocal psi, pending, done
+        for _ in range(step - done):
+            _apply(pending, psi)  # a leading half, or a trailing and a leading half fused
+            pending = kick
+            psi = np.fft.fft(psi, axis=1)
+            _apply(free, psi)
+            psi = np.fft.ifft(psi, axis=1)
+        done = step
+        if record:
+            _apply(half_kick, psi)  # the trailing half: the Strang state
+            pending = half_kick
+        return psi
+
+    return advance
+
+
+def _exact_jumps(state: WavePacketState, v: float, dt: float) -> _Advance:
+    """Exact jumps from step 0 when the potential factor is the phase
+    exp(-i v dt) at every point: it commutes with H0, so n Strang steps are
+    exp(-i v t) exp(-i H0 t) per momentum mode, t = n dt."""
+    grid = state.grid
+    psi_k = np.fft.fft(state.psi, axis=1)
+
+    def advance(step: int, record: bool) -> np.ndarray:
+        time = step * dt
+        psi = psi_k * np.exp(-1j * (v * time))  # a phase of exactly 1 when v = 0
+        _apply(_free_factor(grid, state.m0, time), psi)
+        return np.fft.ifft(psi, axis=1)
+
+    return advance
 
 
 def _judge(state: WavePacketState, profile: PotentialProfile, edge_gain: float,

@@ -431,13 +431,23 @@ class TestEvolve:
                 pytest.raises(FloatingPointError, match="detected by step 3$"):
             evolve(state, prof, 0.05, 10, record_every=3)
 
-    @pytest.mark.parametrize("coupling", ["vector", "scalar", "pseudoscalar"])
-    def test_fused_kicks_match_unfused_strang_steps(self, coupling):
+    @pytest.mark.parametrize("prof", [
+        PotentialProfile(coupling="vector", v0=1.3, x_step=-15.0, smoothing=1.0),
+        PotentialProfile(coupling="scalar", v0=1.3, x_step=-15.0, smoothing=1.0),
+        PotentialProfile(coupling="pseudoscalar", v0=1.3, x_step=-15.0, smoothing=1.0),
+        PotentialProfile(coupling="vector", kind="zero"),
+        PotentialProfile(coupling="vector", v0=1.3, x_step=-1000.0),
+        PotentialProfile(coupling="scalar", v0=1.3, x_step=-1000.0),
+        PotentialProfile(coupling="pseudoscalar", v0=1.3, x_step=-1000.0),
+    ], ids=["vector", "scalar", "pseudoscalar", "zero", "uniform-vector", "uniform-scalar",
+            "uniform-pseudoscalar"])
+    def test_fused_kicks_match_unfused_strang_steps(self, prof):
         """Every recorded state equals kick(dt/2) . free(dt) . kick(dt/2)
-        applied step by step, for records on and off the record_every grid."""
+        applied step by step, for records on and off the record_every grid.
+        A uniform scalar or pseudoscalar potential does not commute with H0,
+        so its Strang states leave the exact ones and an exact jump fails."""
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
-        prof = PotentialProfile(coupling=coupling, v0=1.3, x_step=-15.0, smoothing=1.0)
         dt, n_steps = 0.08, 30
         seen = {}
         final, records = evolve(state, prof, dt, n_steps, record_every=7,
@@ -455,30 +465,52 @@ class TestEvolve:
         PotentialProfile(coupling="scalar", v0=0.0, x_step=3.0),
     ], ids=["zero", "step-of-height-0"])
     def test_zero_potential_run_is_the_free_factor_alone(self, profile):
-        """A zero potential is not kicked: the run is bitwise the loop of
-        free factors, which is what multiplying by a kick of 1.0 gave."""
+        """A zero potential is not kicked: the run is bitwise one free factor
+        for the whole time, applied once in momentum space, and within
+        roundoff of the loop of n free Strang steps."""
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
         dt, n_steps = 0.05, 37
         assert _kick_factor(profile, g, dt) is None
         final, _ = evolve(state, profile, dt, n_steps, record_every=10)
+        psi_k = np.fft.fft(state.psi, axis=1)
+        _apply(_free_factor(g, state.m0, n_steps * dt), psi_k)
+        assert np.array_equal(final.psi, np.fft.ifft(psi_k, axis=1))
         free = _free_factor(g, state.m0, dt)
         psi = np.array(state.psi)
         for _ in range(n_steps):
             psi = np.fft.fft(psi, axis=1)
             _apply(free, psi)
             psi = np.fft.ifft(psi, axis=1)
-        assert np.array_equal(final.psi, psi)
+        assert np.max(np.abs(final.psi - psi)) <= 1e-12
 
+    @pytest.mark.parametrize("prof", [
+        PotentialProfile(coupling="vector", kind="zero"),
+        PotentialProfile(coupling="vector", v0=0.5, x_step=-1000.0),
+    ], ids=["zero", "uniform-vector"])
+    def test_uniform_run_keeps_the_norm_at_roundoff(self, prof):
+        """A zero or uniform vector potential is one unitary per momentum
+        mode for the whole run, so its norm does not drift with the steps."""
+        g = Grid(n=512, length=100.0)
+        state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
+        with pytest.warns(WrappedWarning):  # t = 250 crosses the domain of 100
+            _, records = evolve(state, prof, 0.05, 5000, record_every=500)
+        assert len(records) == 11
+        assert max(abs(r.norm - 1.0) for r in records) <= 1e-14
+
+    @pytest.mark.parametrize("prof", [
+        PotentialProfile(coupling="vector", v0=0.5),
+        PotentialProfile(coupling="vector", kind="zero"),
+        PotentialProfile(coupling="vector", v0=0.5, x_step=-1000.0),
+    ], ids=["step", "zero", "uniform-vector"])
     @pytest.mark.parametrize("x_c,wraps", [(-30.0, False), (30.0, True)],
                              ids=["moving-away", "moving-towards"])
-    def test_packet_at_the_minimum_edge_gap(self, x_c, wraps):
+    def test_packet_at_the_minimum_edge_gap(self, x_c, wraps, prof):
         """A packet 5 sigma from an edge, as close as gaussian_packet allows,
         starts with its tail in the edge band: only a gain over that start
         counts, so moving away from the edge does not wrap."""
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=x_c, k_c=math.sqrt(3.0), sigma=4.0, m0=1.0)
-        prof = PotentialProfile(coupling="vector", v0=0.5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             evolve(state, prof, 0.08, 300, record_every=100)
