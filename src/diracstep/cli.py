@@ -5,7 +5,9 @@ to 1.  Every parameter and its default is declared once, on its flag.  A
 JSON config file (--config) can stand in for flags: its values become the
 subcommand's defaults as the text of their flags, so explicit flags win
 over them and each value is converted or refused by its flag's own type
-(a JSON boolean only for the snapshots switch).  Every artifact streams
+(a JSON boolean only for the snapshots switch).  Each result has one
+form: evolve prints its summary on stdout only, and scatter writes every
+table, a single point included, as a list of rows.  Every artifact streams
 into a temp file that replaces its path only when the writer finishes.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
@@ -28,8 +30,6 @@ from .scattering import Coupling, ScatteringQuery
 
 
 _FORMATS = ("csv", "svg", "json")
-_EC_DEFAULT = 2.0  # central energy when neither --Ec nor --kc is given
-_ENERGY_KEYS = ("Ec", "kc")
 # the summary key each of evolve's trust warnings sets
 _FLAGS = {dynamics.WrappedWarning: "wrapped", dynamics.UnresolvedWarning: "unresolved"}
 
@@ -62,10 +62,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("evolve", parents=[output, config],
                        help="split-step wave-packet evolution across the step")
     _add_step_arguments(p)
-    energy = p.add_mutually_exclusive_group()
-    energy.add_argument("--Ec", type=float,
-                        help=f"packet central energy (> m0; default: {_EC_DEFAULT:g})")
-    energy.add_argument("--kc", type=float, help="packet central wavenumber (> 0)")
+    p.add_argument("--Ec", type=float, default=2.0,
+                   help="packet central energy, > m0 (default: %(default)s)")
     p.add_argument("--grid-n", dest="grid_n", type=int, default=2048,
                    help="grid points, power of two (default: %(default)s)")
     p.add_argument("--domain-l", dest="domain_l", type=float, default=200.0,
@@ -106,10 +104,9 @@ def _add_step_arguments(p: argparse.ArgumentParser) -> None:
                    default=Coupling.VECTOR.value, help="Lorentz channel (default: %(default)s)")
 
 
-def _read_config(path: str, command: argparse.ArgumentParser,
-                 flags: argparse.Namespace) -> dict[str, Any]:
+def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
     """The JSON object of a --config file as defaults for the subcommand's
-    parser, less the energy key an explicit --Ec or --kc flag overrides.
+    parser.
 
     Each non-null value is handed over as the text of its flag, so argparse
     converts it with the flag's own type, or stops with its usage line, as
@@ -137,12 +134,6 @@ def _read_config(path: str, command: argparse.ArgumentParser,
     if "format" in values and values["format"] not in _FORMATS:
         raise ValueError(f"config format must be one of {', '.join(_FORMATS)}, "
                          f"got {values['format']!r}")
-    # --Ec and --kc exclude each other, in the file as on the command line
-    if all(values.get(key) is not None for key in _ENERGY_KEYS):
-        raise ValueError("config keys Ec and kc are mutually exclusive")
-    if any(getattr(flags, key, None) is not None for key in _ENERGY_KEYS):
-        for key in _ENERGY_KEYS:
-            values.pop(key, None)
     return {k: v if v is None or isinstance(v, bool) else str(v) for k, v in values.items()}
 
 
@@ -207,7 +198,7 @@ def run_scatter(args: argparse.Namespace) -> int:
         if args.format == "csv":
             scattering.sweep_to_csv(table, out)
         elif args.format == "json":
-            scattering.sweep_to_json(table, out, single=single)
+            scattering.sweep_to_json(table, out)
         else:
             ok = ~table.error  # error rows may hold finite garbage (e.g. m0 <= 0)
             vlines: tuple[tuple[float, str], ...] = ()
@@ -228,14 +219,10 @@ def run_scatter(args: argparse.Namespace) -> int:
 def run_evolve(args: argparse.Namespace) -> int:
     coupling = Coupling(args.coupling)
     m0 = args.m0
-    if args.kc is not None:
-        k_c = args.kc
-    else:
-        e_c = _EC_DEFAULT if args.Ec is None else args.Ec
-        if not e_c > m0:
-            raise ValueError(f"need Ec > m0, got Ec={e_c}, m0={m0}")
-        k_c = math.sqrt(e_c * e_c - m0 * m0)
-    e_c = math.sqrt(k_c * k_c + m0 * m0)
+    if not args.Ec > m0:
+        raise ValueError(f"need Ec > m0, got Ec={args.Ec}, m0={m0}")
+    k_c = math.sqrt(args.Ec * args.Ec - m0 * m0)
+    e_c = math.sqrt(k_c * k_c + m0 * m0)  # Ec as the packet's k_c holds it, for the reference
 
     grid = dynamics.Grid(n=args.grid_n, length=args.domain_l)
     x_c = -0.25 * grid.length if args.x_c is None else args.x_c
@@ -293,11 +280,7 @@ def run_evolve(args: argparse.Namespace) -> int:
             else:
                 dynamics.observables_to_csv(records, out)
 
-    summary_text = json.dumps(summary, indent=2, sort_keys=True)
-    print(summary_text)
-    if args.output is not None:
-        with _output(args.output + ".summary.json") as out:
-            out.write(summary_text + "\n")
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -336,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config is not None:
             # config values become the subcommand's defaults, so flags still win
             command = commands[args.subcommand]
-            command.set_defaults(**_read_config(args.config, command, args))
+            command.set_defaults(**_read_config(args.config, command))
             args = parser.parse_args(argv)
         runner = {"scatter": run_scatter, "evolve": run_evolve, "algebra": run_algebra}
         return runner[args.subcommand](args)

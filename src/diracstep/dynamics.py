@@ -283,25 +283,19 @@ def _free_factor(grid: Grid, m0: float, dt: float) -> _Factor:
     return _unitary(np.cos(omega * dt), s_over_omega, ((m0, k), (k, -m0)))
 
 
-def _kick_factor(profile: PotentialProfile, grid: Grid, dt: float) -> _Factor | None:
+def _kick_factor(profile: PotentialProfile, grid: Grid, dt: float) -> _Factor:
     """Exact per-point potential propagator exp(-i V(x) Gamma dt).
 
     Gamma^2 = 1 for every coupling, so the exponential is
     cos(theta) I - i sin(theta) Gamma with theta = V dt; cos and sin are
-    read off exp(-i theta), so a vector kick is exactly that phase.  A zero
-    potential gives None, which _apply skips.
+    read off exp(-i theta), so a vector kick is exactly that phase.
     """
-    values = profile.values(grid.x)
-    if not values.any():
-        return None
-    phase = np.exp(-1j * (values * dt))
+    phase = np.exp(-1j * (profile.values(grid.x) * dt))
     return _unitary(phase.real, -phase.imag, profile.coupling.matrix)
 
 
-def _apply(factor: _Factor | None, psi: np.ndarray) -> None:
+def _apply(factor: _Factor, psi: np.ndarray) -> None:
     """psi <- factor . psi at every column of the (2, N) field, in place."""
-    if factor is None:
-        return
     diag, off = factor
     if off is None:
         psi *= diag
@@ -359,8 +353,8 @@ def evolve(
     final step; on_record (if given) is called with the state at each of
     those points, e.g. to dump field snapshots.  Probabilities are split
     at the potential step (or mid-domain for a zero profile).  dt well
-    above 0.5*dx degrades the splitting accuracy (the method stays
-    unitary and stable); that is reported as a warning, not an error.
+    above 0.5*dx degrades the splitting accuracy of a run that steps (the
+    method stays unitary and stable); that is reported as a warning.
     Kicks are fused and non-finite fields abort as the module docstring
     says.  A potential that is one value at every grid point, zero under
     any coupling or any value under vector coupling, commutes with H0: the
@@ -382,18 +376,18 @@ def evolve(
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     grid = state.grid
-    if dt > 0.5 * grid.dx:
-        warnings.warn(
-            f"dt={dt} exceeds the splitting-accuracy heuristic 0.5*dx={0.5 * grid.dx}; "
-            "results remain unitary but splitting error grows",
-            stacklevel=2,
-        )
     x_split = profile.split_position(grid)
     values = profile.values(grid.x)
     # one number at every point, and coupled through the identity unless it is 0
     if (values == values[0]).all() and (profile.coupling is Coupling.VECTOR or not values[0]):
         advance = _exact_jumps(state, float(values[0]), dt)
     else:
+        if dt > 0.5 * grid.dx:
+            warnings.warn(
+                f"dt={dt} exceeds the splitting-accuracy heuristic 0.5*dx={0.5 * grid.dx}; "
+                "results remain unitary but splitting error grows",
+                stacklevel=2,
+            )
         advance = _strang_steps(state, profile, dt)
     width = grid.n // _BANDS
     lo, hi = np.searchsorted(grid.x, profile.x_step + np.array([-0.5, 0.5]) * width * grid.dx)

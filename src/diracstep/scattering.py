@@ -202,13 +202,15 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     overflows (E^2, omega^2 or mass^2 past the float range), which leaves r
     or t non-finite.
     """
-    omega, mass = _channel(q.coupling, q.E, q.V0, q.m0)
+    # Python floats: numpy scalars would warn on the overflows refused below
+    E, V0, m0 = float(q.E), float(q.V0), float(q.m0)
+    omega, mass = _channel(q.coupling, E, V0, m0)
     # the query holds finite E > m0 > 0, so the radicand is not negative
-    a = math.sqrt(q.E * q.E - q.m0 * q.m0) / (q.E + q.m0)
+    a = math.sqrt(E * E - m0 * m0) / (E + m0)
     b = _step_factor(omega, mass)
     if a + b == 0:
         raise SingularConfigurationError(
-            f"a + b = 0 at E={q.E}, V0={q.V0}, m0={q.m0}: amplitudes diverge"
+            f"a + b = 0 at E={E}, V0={V0}, m0={m0}: amplitudes diverge"
         )
     if not a > 0:
         raise ValueError(f"incident factor must be positive, got a={a}")
@@ -219,7 +221,7 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     t = (b.real / a) * (T.real * T.real + T.imag * T.imag)
     if not (math.isfinite(r) and math.isfinite(t)):
         raise ValueError(
-            f"closed form overflows at E={q.E}, V0={q.V0}, m0={q.m0}: "
+            f"closed form overflows at E={E}, V0={V0}, m0={m0}: "
             f"r={r} and t={t} are not finite"
         )
     return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=_regime(omega, mass))
@@ -395,12 +397,11 @@ def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
     stream.write(CSV_HEADER + "\n" + "".join(lines))
 
 
-def _json_object(fields: dict[str, str], pad: str) -> str:
-    """An object laid out as json.dumps(..., indent=2, sort_keys=True) lays
-    it out at indentation `pad`; `fields` maps each key to its JSON text."""
-    inner = pad + "  "
-    body = ",\n".join(f"{inner}{json.dumps(key)}: {fields[key]}" for key in sorted(fields))
-    return f"{pad}{{\n{body}\n{pad}}}"
+def _json_object(fields: dict[str, str]) -> str:
+    """An object laid out as json.dumps(rows, indent=2, sort_keys=True) lays
+    out an element of the list rows; `fields` maps each key to its JSON text."""
+    body = ",\n".join(f"    {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    return f"  {{\n{body}\n  }}"
 
 
 def _json_numbers(column: np.ndarray) -> list:
@@ -410,14 +411,12 @@ def _json_numbers(column: np.ndarray) -> list:
     return [json.dumps(value) for value in column.tolist()]
 
 
-def sweep_to_json(table: SweepTable, stream: IO[str], *, single: bool = False) -> None:
+def sweep_to_json(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as json.dumps(rows, indent=2, sort_keys=True) writes it.
 
     Each row is an object keyed by the CSV column names; an error row holds
-    E, V0, m0, coupling and its error message instead of values.  With
-    single=True the table's one row is written as a bare object.
+    E, V0, m0, coupling and its error message instead of values.
     """
-    pad = "" if single else "  "
     coupling = json.dumps(table.coupling.value)
     texts = {name: _json_numbers(getattr(table, name)) for name in SWEEP_AXES}
     texts.update((name, column.tolist()) for name, column in table.values.items())
@@ -425,15 +424,13 @@ def sweep_to_json(table: SweepTable, stream: IO[str], *, single: bool = False) -
     slots = sorted(texts)
     # regime names need no JSON escaping, so their quotes sit in the template
     template = _json_object(
-        {**dict.fromkeys(slots, "%s"), "regime": '"%s"', "coupling": coupling}, pad)
+        {**dict.fromkeys(slots, "%s"), "regime": '"%s"', "coupling": coupling})
     objects = list(map(template.__mod__, zip(*(texts[name] for name in slots))))
     for i in np.flatnonzero(table.error).tolist():
         fields = {name: str(texts[name][i]) for name in SWEEP_AXES}
         objects[i] = _json_object(
-            {**fields, "coupling": coupling, "error": json.dumps(table[i].error)}, pad)
-    if single:
-        (text,) = objects
-    else:
-        text = "[\n" + ",\n".join(objects) + "\n]"
-    stream.write(text)
-    stream.write("\n")  # apart: text + "\n" would copy the whole document once more
+            {**fields, "coupling": coupling, "error": json.dumps(table[i].error)})
+    # in pieces: concatenating them would copy the whole document once more
+    stream.write("[\n")
+    stream.write(",\n".join(objects))
+    stream.write("\n]\n")

@@ -64,9 +64,10 @@ class TestScatterSingle:
         assert main(["scatter", "--E", "1.5", "--V0", "3",
                      "--output", str(path), "--format", "json"]) == 0
         data = json.loads(path.read_text())
-        assert data["regime"] == "klein_zone"
-        assert abs(data["r"] - 2.25) <= 1e-14
-        assert abs(data["t"] + 1.25) <= 1e-14
+        assert len(data) == 1  # a single point is a table of one row
+        assert data[0]["regime"] == "klein_zone"
+        assert abs(data[0]["r"] - 2.25) <= 1e-14
+        assert abs(data[0]["t"] + 1.25) <= 1e-14
 
     @pytest.mark.parametrize("argv", [
         ["--E", "1.5", "--V0", "nan"],
@@ -99,7 +100,7 @@ class TestScatterSingle:
                     "re_R": res.R.real, "im_R": res.R.imag,
                     "re_T": res.T.real, "im_T": res.T.imag,
                     "r": res.r, "t": res.t, "regime": "klein_zone"}
-        assert json_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert json_path.read_text() == json.dumps([expected], indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv", [[], ["--sweep", "V0:0:4:5"]])
     def test_pseudoscalar_exits_2(self, argv, capsys):
@@ -275,7 +276,7 @@ class TestEvolve:
         assert summary["norm_drift"] <= 1e-10
         assert abs(summary["analytic_t"] - 1.0) <= 1e-14
 
-    def test_csv_output_and_summary_sidecar(self, tmp_path, capsys):
+    def test_csv_output_and_summary_on_stdout_only(self, tmp_path, capsys):
         path = tmp_path / "obs.csv"
         assert main(["evolve", "--V0", "1", "--grid-n", "512",
                      "--domain-l", "100", "--sigma", "4", "--steps", "50",
@@ -283,11 +284,10 @@ class TestEvolve:
         lines = path.read_text().splitlines()
         assert lines[0] == OBSERVABLES_CSV_HEADER
         assert len(lines) == 7  # header + records at 0,10,20,30,40,50
-        sidecar = json.loads((tmp_path / "obs.csv.summary.json").read_text())
-        stdout_summary = json.loads(capsys.readouterr().out)
-        assert sidecar == stdout_summary
+        assert [p.name for p in tmp_path.iterdir()] == ["obs.csv"]  # no summary file
+        summary = json.loads(capsys.readouterr().out)
         assert {"p_left_final", "p_right_final", "norm_drift",
-                "analytic_r", "analytic_t"} <= set(sidecar)
+                "analytic_r", "analytic_t"} <= set(summary)
 
     def test_snapshots_written_at_record_points(self, tmp_path, capsys):
         path = tmp_path / "obs.csv"
@@ -421,7 +421,8 @@ class TestEvolve:
         # reaches the edge bands
         (["--V0", "100", "--Ec", "2"], [dynamics.WrappedWarning, dynamics.UnresolvedWarning],
          {"wrapped", "unresolved"}),
-        (["--dt", "0.5", "--grid-n", "256", "--steps", "10"], [UserWarning], set()),
+        (["--V0", "0.5", "--dt", "0.5", "--grid-n", "256", "--steps", "10"], [UserWarning],
+         set()),
     ], ids=["forward", "V0-100", "large-dt"])
     def test_flags_are_the_warnings_evolve_raises(self, argv, categories, flags,
                                                   monkeypatch, capsys):
@@ -482,11 +483,12 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert "unknown config keys: bogus" in capsys.readouterr().err
 
-    def test_energy_flags_are_mutually_exclusive(self, capsys):
+    def test_energy_has_one_flag(self, capsys):
+        """The packet is set by its energy alone: a wavenumber flag is unknown."""
         with pytest.raises(SystemExit) as exc:
-            main(["evolve", "--Ec", "2", "--kc", "1.7"])
+            main(["evolve", "--kc", "1"])
         assert exc.value.code == 2
-        capsys.readouterr()
+        assert "unrecognized arguments: --kc 1" in capsys.readouterr().err
 
     def test_subthreshold_central_energy_exits_2(self, capsys):
         assert main(["evolve", "--Ec", "0.5"]) == 2
@@ -494,7 +496,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("argv", [
         ["--V0", "nan"], ["--V0", "inf"], ["--sigma", "nan"], ["--x-c", "nan"],
-        ["--smoothing", "nan"], ["--dt", "inf"], ["--domain-l", "inf"], ["--kc", "inf"],
+        ["--smoothing", "nan"], ["--dt", "inf"], ["--domain-l", "inf"],
     ])
     def test_non_finite_input_exits_2(self, argv, capsys):
         assert main(["evolve", "--grid-n", "256", "--steps", "10"] + argv) == 2
@@ -522,7 +524,7 @@ class TestEvolve:
 
 def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, capsys):
     """Under umask 022 every file the CLI writes is 0644: an --output file,
-    the evolve summary beside it, a snapshot and an --emit-json file."""
+    a snapshot and an --emit-json file."""
     previous = os.umask(0o022)
     try:
         assert main(["scatter", "--E", "1.5", "--sweep", "V0:0:4:5",
@@ -533,7 +535,7 @@ def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, capsys):
     finally:
         os.umask(previous)
     capsys.readouterr()
-    names = ["sweep.csv", "obs.csv", "obs.csv.summary.json", "snapshot_0000000.csv",
+    names = ["sweep.csv", "obs.csv", "snapshot_0000000.csv",
              "snapshot_0000010.csv", "rep.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == \
@@ -744,35 +746,21 @@ class TestConfigFile:
         assert main(argv + ["--config", str(cfg)]) == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("values, flag", [
-        ({"kc": 1.0}, ["--Ec", "3"]),
-        ({"Ec": 3.0}, ["--kc", "1"]),
-    ])
-    def test_energy_flag_beats_the_other_config_key(self, values, flag, tmp_path, capsys):
-        argv = ["evolve", "--V0", "1", "--grid-n", "256", "--steps", "10"] + flag
-        assert main(argv) == 0
-        expected = capsys.readouterr().out
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(values))
-        assert main(argv + ["--config", str(cfg)]) == 0
-        assert capsys.readouterr().out == expected
-
-    def test_config_with_both_energy_keys_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"Ec": 3.0, "kc": 1.0}))
-        assert main(["evolve", "--grid-n", "256", "--steps", "10", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "Ec" in captured.err
-
-    def test_config_null_central_energy_means_default(self, tmp_path, capsys):
+    def test_config_null_stands_only_for_a_default_of_none(self, tmp_path, capsys):
+        """null stands for the packet center's computed default; the central
+        energy has a default of its own, so a null for it is refused."""
         argv = ["evolve", "--grid-n", "256", "--steps", "10"]
         assert main(argv) == 0
         default = capsys.readouterr().out
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"Ec": None, "x_c": None, "kc": None}))
+        cfg.write_text(json.dumps({"x_c": None}))
         assert main(argv + ["--config", str(cfg)]) == 0
         assert capsys.readouterr().out == default
+        cfg.write_text(json.dumps({"Ec": None}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key Ec must be a number or a string, got null\n"
 
 
 @pytest.mark.parametrize("command", ["scatter", "evolve", "algebra"])

@@ -471,7 +471,6 @@ class TestEvolve:
         g = Grid(n=512, length=100.0)
         state = gaussian_packet(g, x_c=-20.0, k_c=1.5, sigma=4.0, m0=1.0)
         dt, n_steps = 0.05, 37
-        assert _kick_factor(profile, g, dt) is None
         final, _ = evolve(state, profile, dt, n_steps, record_every=10)
         psi_k = np.fft.fft(state.psi, axis=1)
         _apply(_free_factor(g, state.m0, n_steps * dt), psi_k)
@@ -519,9 +518,23 @@ class TestEvolve:
     def test_oversized_dt_warns_but_runs(self):
         g = Grid(n=256, length=32.0)  # dx = 0.125
         state = gaussian_packet(g, x_c=-8.0, k_c=1.0, sigma=1.0, m0=1.0)
-        prof = PotentialProfile(coupling="vector", kind="zero")
+        prof = PotentialProfile(coupling="vector", v0=0.5)
         with pytest.warns(UserWarning, match="splitting"):
             final, records = evolve(state, prof, 0.5, 2, record_every=1)
+        assert abs(final.norm() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("prof", [
+        PotentialProfile(coupling="vector", kind="zero"),
+        PotentialProfile(coupling="vector", v0=0.5, x_step=-1000.0),
+    ], ids=["zero", "uniform-vector"])
+    def test_oversized_dt_without_steps_does_not_warn(self, prof):
+        """A zero or uniform vector potential jumps exactly, with no
+        splitting error for dt to grow: the same run as above is silent."""
+        g = Grid(n=256, length=32.0)
+        state = gaussian_packet(g, x_c=-8.0, k_c=1.0, sigma=1.0, m0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final, _ = evolve(state, prof, 0.5, 2, record_every=1)
         assert abs(final.norm() - 1.0) <= 1e-12
 
     def test_validation(self):

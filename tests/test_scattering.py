@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -250,12 +251,14 @@ class TestAmplitudes:
         with pytest.raises(SingularConfigurationError):
             amplitudes(ScatteringQuery(E=1.5, V0=2.5, m0=1.0))
 
-    @pytest.mark.parametrize("E, V0, m0, coupling", [
+    OVERFLOWING = [
         (1e200, 0.0, 1.0, "vector"),   # E^2 overflows: a = inf
         (2.0, -1e200, 1.0, "vector"),  # omega^2 overflows: b = inf
         (2.0, 1e200, 1.0, "vector"),   # Klein side: b = -inf
         (2.0, 1e200, 1.0, "scalar"),   # mass^2 overflows: b = i inf
-    ])
+    ]
+
+    @pytest.mark.parametrize("E, V0, m0, coupling", OVERFLOWING)
     def test_overflow_is_refused_not_labelled(self, E, V0, m0, coupling):
         """Past about 1.34e154 a square overflows and r, t come out NaN; the
         point is refused rather than returned with a regime."""
@@ -264,6 +267,34 @@ class TestAmplitudes:
         (row,) = SweepTable(E, V0, m0, coupling)
         _assert_row_is_scalar_path(row)
         assert row.result is None and "overflows" in row.error
+
+    @pytest.mark.parametrize("E, V0, m0, coupling",
+                             OVERFLOWING + [(1.5, 2.5, 1.0, "vector")])  # and a 0/0 point
+    def test_numpy_scalars_are_refused_silently(self, E, V0, m0, coupling):
+        """A query of numpy scalars is refused with the Python-float message
+        and raises none of numpy's overflow RuntimeWarnings on the way."""
+        with pytest.raises(ValueError) as expected:
+            amplitudes(ScatteringQuery(E, V0, m0, coupling))
+        query = ScatteringQuery(np.float64(E), np.float64(V0), np.float64(m0), coupling)
+        with warnings.catch_warnings(), pytest.raises(ValueError) as refused:
+            warnings.simplefilter("error")
+            amplitudes(query)
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
+
+    @pytest.mark.parametrize("E, V0, m0, coupling", [
+        (2.0, 0.5, 1.0, "vector"), (1.5, 1.0, 1.0, "vector"), (1.5, 3.0, 1.0, "vector"),
+        (1.9, 0.3, 0.7, "scalar"), (1.9, 3.0, 0.7, "scalar"),
+    ], ids=["transmission", "evanescent", "klein", "scalar", "scalar-evanescent"])
+    def test_numpy_scalars_give_the_python_float_result(self, E, V0, m0, coupling):
+        """Every field, signed zeros included, is bitwise the Python-float
+        result and of the same Python type."""
+        expected = amplitudes(ScatteringQuery(E, V0, m0, coupling))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = amplitudes(ScatteringQuery(np.float64(E), np.float64(V0), np.float64(m0),
+                                             coupling))
+        assert repr(got) == repr(expected)
 
 
 class TestRegime:
