@@ -7,8 +7,11 @@ subcommand's defaults as the text of their flags, so explicit flags win
 over them and each value is converted or refused by its flag's own type
 (a JSON boolean only for the snapshots switch).  Each result has one
 form: evolve prints its summary on stdout only, and scatter writes every
-table, a single point included, as a list of rows.  Every artifact streams
-into a temp file that replaces its path only when the writer finishes.
+table, a single point included, as a list of rows.  A --format the command
+would not write is refused before anything is printed: svg for a single
+point, and json (or, for evolve, svg) without --output, where stdout holds
+the point's text line or the summary.  Every artifact streams into a temp
+file that replaces its path only when the writer finishes.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
 verification), 2 invalid parameters (non-finite values included).
@@ -176,6 +179,11 @@ def run_scatter(args: argparse.Namespace) -> int:
     coupling = Coupling(args.coupling)
     single = args.sweep is None
     if single:
+        if args.format == "svg":
+            raise ValueError("svg output needs a sweep (a single point is not a curve)")
+        if args.format == "json" and args.output is None:
+            raise ValueError("json output of a single point needs --output "
+                             "(stdout holds its text line)")
         table = scattering.SweepTable(args.E, args.V0, args.m0, coupling)
     else:
         axis, start, stop, steps = _parse_sweep(args.sweep)
@@ -191,8 +199,6 @@ def run_scatter(args: argparse.Namespace) -> int:
               f"{values} regime={row.result.regime.value}")
         if args.output is None:
             return 0
-        if args.format == "svg":
-            raise ValueError("svg output needs a sweep (a single point is not a curve)")
 
     with _output(args.output) as out:
         if args.format == "csv":
@@ -217,6 +223,8 @@ def run_scatter(args: argparse.Namespace) -> int:
 
 
 def run_evolve(args: argparse.Namespace) -> int:
+    if args.format != "csv" and args.output is None:
+        raise ValueError(f"{args.format} output needs --output (stdout holds only the summary)")
     coupling = Coupling(args.coupling)
     m0 = args.m0
     if not args.Ec > m0:

@@ -41,16 +41,26 @@ the Klein zone does not exist there.
 A point has an answer iff E, V0 and m0 are finite, E > m0 > 0, and r and
 t come out finite; amplitudes() refuses any other point with ValueError,
 and a SweepTable marks it as an error row.
+
+sweep_to_csv and sweep_to_json share one row path: each renders rows
+[lo, hi) of a table, and _write_rows joins consecutive ranges.  When the
+process may run on two or more CPUs (os.sched_getaffinity), runs no other
+Python thread and the table holds at least _ROW_CHUNK rows per CPU it
+would use, the table is split into one range per CPU and forked children
+render every range but the first.  The bytes are those of one pass in
+this process; `taskset -c 0` keeps a run in one process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
+import os
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
+from typing import IO, NoReturn
 
 import numpy as np
 
@@ -247,7 +257,8 @@ class SweepRow:
 _REGIMES = (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE)
 VALUE_COLUMNS = ("a", "re_b", "im_b", "re_R", "im_R", "re_T", "im_T", "r", "t")
 # Rows a SweepTable iterator converts to Python objects at once, which
-# bounds the memory of one pass over a long sweep.
+# bounds the memory of one pass over a long sweep; also the fewest rows a
+# writer hands to a forked child, whose start-up would cost more otherwise.
 _ROW_CHUNK = 4096
 
 
@@ -379,6 +390,85 @@ CSV_HEADER = ",".join((*SWEEP_AXES, "coupling", *VALUE_COLUMNS, "regime"))
 _REGIME_NAMES = np.array([regime.value for regime in _REGIMES], dtype=object)
 
 
+def _write_rows(stream: IO[str], n: int, render: Callable[[int, int], str],
+                before: str, between: str, after: str) -> None:
+    """Write `before`, render(lo, hi) for consecutive ranges [lo, hi) that
+    cover rows [0, n) with `between` joining them, then `after`.
+
+    When os.fork exists, the process may run on two or more CPUs, no other
+    Python thread runs and every range keeps at least _ROW_CHUNK rows, the
+    rows are split into one range per CPU: forked children render the later
+    ranges while this process renders the first.  Otherwise [0, n) is one
+    range, rendered here.  The bytes are the same either way, and nothing
+    is written unless every range rendered.
+    """
+    parts = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1:
+        parts = max(1, min(len(os.sched_getaffinity(0)), n // _ROW_CHUNK))
+    bounds = [n * part // parts for part in range(parts + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                _render_child(render, lo, hi, [r for _, r in children] + [reader], writer)
+            os.close(writer)
+            children.append((pid, reader))
+        texts = [render(bounds[0], bounds[1])]
+        piped = []
+        for _, reader in children:
+            with open(reader, "rb", closefd=False) as pipe:
+                piped.append(pipe.read())
+    finally:
+        for _, reader in children:
+            os.close(reader)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for lo, hi, status, data in zip(bounds[1:-1], bounds[2:], statuses, piped):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            # exit code 1 is a render that raised, and the pipe holds its error
+            reason = data.decode(errors="replace") if code == 1 else f"exit code {code}"
+            raise RuntimeError(f"rendering rows {lo}..{hi} failed in a forked writer: {reason}")
+        texts.append(data.decode())
+    # in pieces: joining them would copy the whole document once more
+    stream.write(before)
+    for i, text in enumerate(texts):
+        if i:
+            stream.write(between)
+        stream.write(text)
+    stream.write(after)
+
+
+def _render_child(render: Callable[[int, int], str], lo: int, hi: int,
+                  readers: list[int], writer: int) -> NoReturn:
+    """A forked child's whole life: render rows lo..hi, then write them, or
+    the error that stopped them, to `writer` as UTF-8 and leave through
+    os._exit, which runs no atexit handler and flushes none of the parent's
+    buffers.  The whole range is rendered before the first byte is written,
+    so a full pipe cannot stall the child while the parent renders.  Exit
+    code 0 means the rows were written, 1 that the error was."""
+    status = 2
+    try:
+        for reader in readers:  # else a sibling's pipe stays open after the parent closes it
+            os.close(reader)
+        try:
+            data, failed = render(lo, hi).encode(), False
+        except BaseException as exc:
+            data, failed = f"{type(exc).__name__}: {exc}".encode(), True
+        with open(writer, "wb") as pipe:
+            pipe.write(data)
+        status = int(failed)
+    finally:
+        os._exit(status)
+
+
 def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
     """Write a table in the documented CSV schema.
 
@@ -389,12 +479,17 @@ def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
     head = f"%.17g,%.17g,%.17g,{table.coupling.value},"
     line = head + "%.17g," * len(VALUE_COLUMNS) + "%s\n"
     error_line = head + "," * len(VALUE_COLUMNS) + "error\n"
-    columns = [column.tolist() for column in
-               (table.E, table.V0, table.m0, *table.values.values())]
-    lines = list(map(line.__mod__, zip(*columns, _REGIME_NAMES[table.regime].tolist())))
-    for i in np.flatnonzero(table.error).tolist():
-        lines[i] = error_line % (columns[0][i], columns[1][i], columns[2][i])
-    stream.write(CSV_HEADER + "\n" + "".join(lines))
+
+    def render(lo: int, hi: int) -> str:
+        columns = [column[lo:hi].tolist() for column in
+                   (table.E, table.V0, table.m0, *table.values.values())]
+        lines = list(map(line.__mod__,
+                         zip(*columns, _REGIME_NAMES[table.regime[lo:hi]].tolist())))
+        for i in np.flatnonzero(table.error[lo:hi]).tolist():
+            lines[i] = error_line % (columns[0][i], columns[1][i], columns[2][i])
+        return "".join(lines)
+
+    _write_rows(stream, len(table), render, CSV_HEADER + "\n", "", "")
 
 
 def _json_object(fields: dict[str, str]) -> str:
@@ -418,19 +513,20 @@ def sweep_to_json(table: SweepTable, stream: IO[str]) -> None:
     E, V0, m0, coupling and its error message instead of values.
     """
     coupling = json.dumps(table.coupling.value)
-    texts = {name: _json_numbers(getattr(table, name)) for name in SWEEP_AXES}
-    texts.update((name, column.tolist()) for name, column in table.values.items())
-    texts["regime"] = _REGIME_NAMES[table.regime].tolist()
-    slots = sorted(texts)
+    slots = sorted((*SWEEP_AXES, *VALUE_COLUMNS, "regime"))
     # regime names need no JSON escaping, so their quotes sit in the template
     template = _json_object(
         {**dict.fromkeys(slots, "%s"), "regime": '"%s"', "coupling": coupling})
-    objects = list(map(template.__mod__, zip(*(texts[name] for name in slots))))
-    for i in np.flatnonzero(table.error).tolist():
-        fields = {name: str(texts[name][i]) for name in SWEEP_AXES}
-        objects[i] = _json_object(
-            {**fields, "coupling": coupling, "error": json.dumps(table[i].error)})
-    # in pieces: concatenating them would copy the whole document once more
-    stream.write("[\n")
-    stream.write(",\n".join(objects))
-    stream.write("\n]\n")
+
+    def render(lo: int, hi: int) -> str:
+        texts = {name: _json_numbers(getattr(table, name)[lo:hi]) for name in SWEEP_AXES}
+        texts.update((name, column[lo:hi].tolist()) for name, column in table.values.items())
+        texts["regime"] = _REGIME_NAMES[table.regime[lo:hi]].tolist()
+        objects = list(map(template.__mod__, zip(*(texts[name] for name in slots))))
+        for i in np.flatnonzero(table.error[lo:hi]).tolist():
+            fields = {name: str(texts[name][i]) for name in SWEEP_AXES}
+            objects[i] = _json_object(
+                {**fields, "coupling": coupling, "error": json.dumps(table[lo + i].error)})
+        return ",\n".join(objects)
+
+    _write_rows(stream, len(table), render, "[\n", ",\n", "\n]\n")

@@ -129,6 +129,15 @@ class TestVerifyClifford:
             DiracRepresentation(n=2, dim=2, alphas=(PAULI_X.copy(),),
                                 beta=PAULI_Z.copy())
 
+    @pytest.mark.parametrize("n,dim,message", [
+        (0, 2, "spatial dimension n must be >= 1"),
+        (1, 0, "matrix dimension must be >= 1"),
+    ])
+    def test_nonpositive_sizes_are_an_error(self, n, dim, message):
+        with pytest.raises(ValueError, match=message):
+            DiracRepresentation(n=n, dim=dim, alphas=(PAULI_X.copy(),) * n,
+                                beta=PAULI_Z.copy())
+
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
             verify_clifford(build_representation(1), -1e-3)
@@ -419,6 +428,7 @@ class TestJsonRoundTrip:
         lambda d: dict(d, beta=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
         lambda d: dict(d, beta=[[[float("nan"), 0.0], [0.0, 0.0]], d["beta"][1]]),
         lambda d: dict(d, alphas=[[[[0.0, 0.0], [1.0, float("inf")]], d["beta"][1]]]),
+        lambda d: dict(d, beta=[[[10 ** 399, 0.0], [0.0, 0.0]], d["beta"][1]]),  # past float
         lambda d: dict(d, n="1"),
         lambda d: dict(d, alphas=None),
         lambda d: {key: value for key, value in d.items() if key != "n"},

@@ -117,11 +117,28 @@ class TestScatterSingle:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "overflows" in captured.err
 
-    def test_svg_without_sweep_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "one.svg"
-        assert main(["scatter", "--E", "2", "--output", str(path),
-                     "--format", "svg"]) == 2
-        assert "sweep" in capsys.readouterr().err
+    @pytest.mark.parametrize("fmt,output,reason", [
+        ("svg", True, "sweep"),
+        ("svg", False, "sweep"),
+        ("json", False, "--output"),
+    ])
+    def test_format_a_point_does_not_write_exits_2(self, fmt, output, reason, tmp_path,
+                                                    capsys):
+        """One error line and nothing on stdout or on disk: svg needs a
+        sweep, and a point's json needs a file (stdout holds its text line)."""
+        argv = ["scatter", "--E", "1.5", "--V0", "3", "--format", fmt]
+        assert main(argv + (["--output", str(tmp_path / "one")] if output else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explicit_csv_format_is_the_default(self, capsys):
+        assert main(["scatter", "--E", "1.5", "--V0", "3"]) == 0
+        default = capsys.readouterr()
+        assert main(["scatter", "--E", "1.5", "--V0", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr() == default
 
 
     def test_readme_example_matches_stdout(self, tmp_path, capsys):
@@ -252,6 +269,29 @@ class TestScatterSweep:
         assert "below threshold" in message
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_forked_writer_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        """A child that fails to render its rows makes the command raise,
+        with no output file, no temp file and no child left."""
+        parent = os.getpid()
+        real_message = scattering.SweepTable._error_message
+
+        def message(self, E, V0, m0):
+            if os.getpid() != parent:
+                raise RuntimeError("render failed in the child")
+            return real_message(self, E, V0, m0)
+
+        monkeypatch.setattr(scattering.SweepTable, "_error_message", message)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "sweep.json"
+        # rows [4096, 8193) are the child's; the 0/0 row at V0 = 2.5 is row 5120
+        with pytest.raises(RuntimeError, match="render failed in the child"):
+            main(["scatter", "--E", "1.5", "--sweep", "V0:0:4:8193", "--format", "json",
+                  "--output", str(path)])
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_holds_the_bytes_of_the_output_file(self, fmt, tmp_path, capsys):
@@ -504,6 +544,39 @@ class TestEvolve:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "finite" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_format_without_output_exits_2(self, fmt, from_config, tmp_path, capsys):
+        """json and svg go only to a file, so without --output they are
+        refused before the run starts; stdout stays empty."""
+        argv = ["evolve", "--grid-n", "256", "--steps", "10"]
+        if from_config:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"format": fmt}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "--output" in captured.err
+
+    def test_explicit_csv_format_prints_the_summary(self, capsys):
+        argv = ["evolve", "--grid-n", "256", "--steps", "10"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr() == default
+
+    def test_floating_point_abort_exits_1(self, monkeypatch, capsys):
+        def evolve(*args, **kwargs):
+            raise FloatingPointError("field went non-finite at step 3")
+
+        monkeypatch.setattr(dynamics, "evolve", evolve)
+        assert main(["evolve", "--grid-n", "256", "--steps", "10"]) == 1
+        assert capsys.readouterr() == ("", "aborted: field went non-finite at step 3\n")
+
     def test_output_format_from_config_file(self, tmp_path, capsys):
         """format and output are read from the config file when no flag
         gives them; an --output flag leaves the config's format in force."""
@@ -672,6 +745,14 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "'xml'" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1]", "1.5", '"E"', "null"])
+    def test_config_that_is_not_an_object_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["scatter", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: config file {cfg} must hold a JSON object\n")
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import math
+import os
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -21,7 +23,9 @@ from diracstep.scattering import (
     ScatteringQuery,
     SingularConfigurationError,
     SweepTable,
+    _ROW_CHUNK,
     _step_factor,
+    _write_rows,
     amplitudes,
     sweep,
     sweep_to_csv,
@@ -636,3 +640,152 @@ class TestWriters:
                       res.T.real, res.T.imag, res.r, res.t)
             assert line.split(",") == (head + [format(v, ".17g") for v in values]
                                        + [res.regime.value])
+
+
+def _grant_cpus(monkeypatch, cpus):
+    """Make the writers see `cpus` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _count_forks(monkeypatch) -> list:
+    """A list that gains one entry per os.fork the writers make."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _boundary_table(boundary):
+    """3 * _ROW_CHUNK vector rows at E = 1.5 with the 0/0 row (V0 = 2.5,
+    exact on a grid of step 1/1024) at index `boundary`, rows below
+    threshold in every range and a NaN coordinate in the last row."""
+    n = 3 * _ROW_CHUNK
+    V0 = 2.5 + (np.arange(n) - boundary) / 1024
+    V0[-1] = math.nan
+    E = np.full(n, 1.5)
+    E[::1000] = 0.5
+    table = SweepTable(E, V0, 1.0, "vector")
+    assert "degenerate" in table[boundary].error
+    return table
+
+
+class TestForkedWriters:
+    @pytest.mark.parametrize("rows,cpus,ranges", [
+        (1, 64, ["0:1"]),
+        (401, 64, ["0:401"]),
+        (2 * _ROW_CHUNK - 1, 2, ["0:8191"]),      # a second range would be short
+        (2 * _ROW_CHUNK, 2, ["0:4096", "4096:8192"]),
+        (2 * _ROW_CHUNK, 1, ["0:8192"]),
+        (3 * _ROW_CHUNK - 1, 3, ["0:6143", "6143:12287"]),
+        (3 * _ROW_CHUNK + 2, 3, ["0:4096", "4096:8193", "8193:12290"]),
+    ])
+    def test_ranges_keep_a_chunk_each_and_join_in_order(self, rows, cpus, ranges,
+                                                         monkeypatch):
+        _grant_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        buf = io.StringIO()
+        _write_rows(buf, rows, lambda lo, hi: f"{lo}:{hi}", "[", "|", "]")
+        assert buf.getvalue() == "[" + "|".join(ranges) + "]"
+        assert len(forks) == len(ranges) - 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("writer", [sweep_to_csv, sweep_to_json])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_range_count_writes_the_same_bytes(self, writer, cpus, monkeypatch):
+        """Error rows, a NaN coordinate and the 0/0 row on the first range
+        boundary come out as one in-process range writes them."""
+        table = _boundary_table(3 * _ROW_CHUNK // max(cpus, 2))
+        _grant_cpus(monkeypatch, 1)
+        expected = io.StringIO()
+        writer(table, expected)
+        _grant_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        buf = io.StringIO()
+        writer(table, buf)
+        assert len(forks) == cpus - 1
+        assert buf.getvalue() == expected.getvalue()
+        _assert_no_child_left()
+        if writer is sweep_to_json:
+            rows = [_row_dict(row) for row in table]
+            assert buf.getvalue() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+    def test_a_failing_child_makes_the_writer_raise(self, monkeypatch):
+        """A child's error reaches the caller with its range; nothing is
+        written and no child is left."""
+        table = _boundary_table(2 * _ROW_CHUNK)
+        parent = os.getpid()
+        real_message = SweepTable._error_message
+
+        def message(self, E, V0, m0):
+            if os.getpid() != parent:
+                raise RuntimeError("render failed in the child")
+            return real_message(self, E, V0, m0)
+
+        monkeypatch.setattr(SweepTable, "_error_message", message)
+        _grant_cpus(monkeypatch, 3)
+        buf = io.StringIO()
+        with pytest.raises(RuntimeError, match=r"rows 4096\.\.8192 .*render failed"):
+            sweep_to_json(table, buf)
+        assert buf.getvalue() == ""
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fail,reason", [
+        (lambda: 1 / 0, "ZeroDivisionError: division by zero"),
+        (lambda: os._exit(3), "exit code 3"),
+    ])
+    def test_a_child_that_renders_nothing_makes_the_writer_raise(self, fail, reason,
+                                                                 monkeypatch):
+        def render(lo, hi):
+            if lo:
+                fail()
+            return f"{lo}:{hi}"
+
+        _grant_cpus(monkeypatch, 2)
+        buf = io.StringIO()
+        with pytest.raises(RuntimeError, match=f"rows 4096..8192 .*: {reason}$"):
+            _write_rows(buf, 2 * _ROW_CHUNK, render, "", "", "")
+        assert buf.getvalue() == ""
+        _assert_no_child_left()
+
+    def test_a_failing_first_range_reaps_the_children(self, monkeypatch):
+        def render(lo, hi):
+            if lo == 0:
+                raise MemoryError("first range")
+            return "x" * (1 << 20)  # more than a pipe holds: the child blocks writing
+
+        _grant_cpus(monkeypatch, 3)
+        buf = io.StringIO()
+        with pytest.raises(MemoryError, match="first range"):
+            _write_rows(buf, 3 * _ROW_CHUNK, render, "", "", "")
+        assert buf.getvalue() == ""
+        _assert_no_child_left()
+
+    def test_a_second_thread_keeps_the_writer_in_process(self, monkeypatch):
+        table = _boundary_table(_ROW_CHUNK)
+        _grant_cpus(monkeypatch, 1)
+        expected = io.StringIO()
+        sweep_to_csv(table, expected)
+        _grant_cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        thread.start()
+        try:
+            buf = io.StringIO()
+            sweep_to_csv(table, buf)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert buf.getvalue() == expected.getvalue()

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 
 from diracstep.cli import main
+from diracstep import svgplot
 from diracstep.svgplot import PlotSpec, render_svg
 
 
@@ -119,6 +121,17 @@ def test_tick_labels_for_unit_range():
 def test_constant_series_gets_padded_range():
     svg = render_svg([float(i) for i in range(5)], {"y": [1.0] * 5}, PlotSpec())
     assert svg.count("<polyline") == 1
+
+
+def test_constant_x_gets_padded_range():
+    """With every x equal the axis spans x +- 0.5 and the curve stands at its
+    middle."""
+    svg = render_svg([1.0] * 3, {"y": [0.0, 1.0, 2.0]}, PlotSpec())
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
+    middle = "%.2f" % (svgplot._MARGIN_LEFT + plot_w / 2)
+    assert [point.split(",")[0] for point in points.split()] == [middle] * 3
+    assert ">0.6</text>" in svg and ">1.4</text>" in svg
 
 
 @pytest.mark.parametrize("argv, digest", [
