@@ -44,11 +44,11 @@ and a SweepTable marks it as an error row.
 
 sweep_to_csv and sweep_to_json share one row path: each renders rows
 [lo, hi) of a table, and _write_rows joins consecutive ranges.  When the
-process may run on two or more CPUs (os.sched_getaffinity), runs no other
-Python thread and the table holds at least _ROW_CHUNK rows per CPU it
-would use, the table is split into one range per CPU and forked children
-render every range but the first.  The bytes are those of one pass in
-this process; `taskset -c 0` keeps a run in one process.
+process may keep two or more CPUs busy (its os.sched_getaffinity set and
+its cgroup's CPU quota), runs no other Python thread and the table holds
+at least 2 * _FORK_ROWS rows, one forked child renders the second half of
+the rows while the process renders the first.  The bytes are those of one
+pass in this process; `taskset -c 0` keeps a run in one process.
 """
 
 from __future__ import annotations
@@ -257,9 +257,14 @@ class SweepRow:
 _REGIMES = (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE)
 VALUE_COLUMNS = ("a", "re_b", "im_b", "re_R", "im_R", "re_T", "im_T", "r", "t")
 # Rows a SweepTable iterator converts to Python objects at once, which
-# bounds the memory of one pass over a long sweep; also the fewest rows a
-# writer hands to a forked child, whose start-up would cost more otherwise.
+# bounds the memory of one pass over a long sweep.
 _ROW_CHUNK = 4096
+# The fewest rows a sweep writer hands to a forked child.  On a 2-vCPU VM
+# the fork and the pipe broke even at about 1024 rows a half, and halves
+# of 4096 rows or more saved a quarter to a half of a writer call.
+_FORK_ROWS = 4096
+# Where a container's own cgroup is mounted (v2, or v1's cpu controller).
+_CGROUP = "/sys/fs/cgroup"
 
 
 def _quotient(ar, ai, br, bi):
@@ -395,48 +400,20 @@ def _write_rows(stream: IO[str], n: int, render: Callable[[int, int], str],
     """Write `before`, render(lo, hi) for consecutive ranges [lo, hi) that
     cover rows [0, n) with `between` joining them, then `after`.
 
-    When os.fork exists, the process may run on two or more CPUs, no other
-    Python thread runs and every range keeps at least _ROW_CHUNK rows, the
-    rows are split into one range per CPU: forked children render the later
-    ranges while this process renders the first.  Otherwise [0, n) is one
-    range, rendered here.  The bytes are the same either way, and nothing
-    is written unless every range rendered.
+    When os.fork exists, the process may keep two or more CPUs busy, no
+    other Python thread runs and each half of the rows holds _FORK_ROWS,
+    a forked child renders the second half while this process renders the
+    first.  Otherwise [0, n) is one range, rendered here.  A child that does
+    not hand back its rows (its render raised, or it was killed) leaves its
+    half to be rendered here, so the bytes, and any exception, are those of
+    one pass in this process.
     """
-    parts = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
-            and threading.active_count() == 1:
-        parts = max(1, min(len(os.sched_getaffinity(0)), n // _ROW_CHUNK))
-    bounds = [n * part // parts for part in range(parts + 1)]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            reader, writer = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(reader)
-                os.close(writer)
-                raise
-            if pid == 0:
-                _render_child(render, lo, hi, [r for _, r in children] + [reader], writer)
-            os.close(writer)
-            children.append((pid, reader))
-        texts = [render(bounds[0], bounds[1])]
-        piped = []
-        for _, reader in children:
-            with open(reader, "rb", closefd=False) as pipe:
-                piped.append(pipe.read())
-    finally:
-        for _, reader in children:
-            os.close(reader)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for lo, hi, status, data in zip(bounds[1:-1], bounds[2:], statuses, piped):
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            # exit code 1 is a render that raised, and the pipe holds its error
-            reason = data.decode(errors="replace") if code == 1 else f"exit code {code}"
-            raise RuntimeError(f"rendering rows {lo}..{hi} failed in a forked writer: {reason}")
-        texts.append(data.decode())
+    half = n // 2
+    if half >= _FORK_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1 and _usable_cpus() >= 2:
+        texts = _render_halves(render, half, n)
+    else:
+        texts = [render(0, n)]
     # in pieces: joining them would copy the whole document once more
     stream.write(before)
     for i, text in enumerate(texts):
@@ -446,27 +423,80 @@ def _write_rows(stream: IO[str], n: int, render: Callable[[int, int], str],
     stream.write(after)
 
 
-def _render_child(render: Callable[[int, int], str], lo: int, hi: int,
-                  readers: list[int], writer: int) -> NoReturn:
-    """A forked child's whole life: render rows lo..hi, then write them, or
-    the error that stopped them, to `writer` as UTF-8 and leave through
-    os._exit, which runs no atexit handler and flushes none of the parent's
-    buffers.  The whole range is rendered before the first byte is written,
-    so a full pipe cannot stall the child while the parent renders.  Exit
-    code 0 means the rows were written, 1 that the error was."""
-    status = 2
+def _usable_cpus() -> float:
+    """The CPUs this process may keep busy: its affinity set, capped by the
+    CFS quota of its cgroup when one is readable.  Two processes sharing
+    one CPU's quota write a table more slowly than one."""
+    cpus = len(os.sched_getaffinity(0))
     try:
-        for reader in readers:  # else a sibling's pipe stays open after the parent closes it
-            os.close(reader)
         try:
-            data, failed = render(lo, hi).encode(), False
-        except BaseException as exc:
-            data, failed = f"{type(exc).__name__}: {exc}".encode(), True
+            with open(os.path.join(_CGROUP, "cpu.max")) as fh:
+                quota, period = fh.read().split()
+        except FileNotFoundError:
+            with open(os.path.join(_CGROUP, "cpu", "cpu.cfs_quota_us")) as fh:
+                quota = fh.read()
+            with open(os.path.join(_CGROUP, "cpu", "cpu.cfs_period_us")) as fh:
+                period = fh.read()
+        if quota.strip() not in ("max", "-1"):
+            return min(cpus, int(quota) / int(period))
+    except (OSError, ValueError):
+        pass
+    return cpus
+
+
+def _render_halves(render: Callable[[int, int], str], half: int, n: int) -> list[str]:
+    """[render(0, half), render(half, n)], the second rendered by a forked
+    child when it succeeds.  The child is reaped before this returns or
+    raises."""
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        return [render(0, n)]
+    if pid == 0:
+        _render_child(render, half, n, reader, writer)
+    os.close(writer)
+    try:
+        # closing the read end first frees a child blocked on a full pipe
+        with open(reader, "rb") as pipe:
+            first = render(0, half)
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return [first, data.decode() if status == 0 else render(half, n)]
+
+
+def _render_child(render: Callable[[int, int], str], lo: int, hi: int,
+                  reader: int, writer: int) -> NoReturn:
+    """A forked child's whole life: render rows lo..hi, write them to
+    `writer` as UTF-8 and leave through os._exit, which runs no atexit
+    handler and flushes none of the parent's buffers.  The whole range is
+    rendered before the first byte is written, so a full pipe cannot stall
+    the child while the parent renders.  Exit code 0 means every row was
+    written; any failure leaves silently with exit code 1."""
+    status = 1
+    try:
+        os.close(reader)
+        data = render(lo, hi).encode()
         with open(writer, "wb") as pipe:
             pipe.write(data)
-        status = int(failed)
+        status = 0
     finally:
         os._exit(status)
+
+
+def _fixed_fields(columns: dict[str, np.ndarray], lo: int, hi: int,
+                  text: Callable[[np.float64], str]) -> dict[str, str]:
+    """text(value) of each column whose rows lo..hi all hold the same bits,
+    so that a writer formats the value once instead of once a row."""
+    fixed = {}
+    for name, column in columns.items():
+        bits = column[lo:hi].view(np.uint64)
+        if len(bits) and (bits == bits[0]).all():
+            fixed[name] = text(column[lo])
+    return fixed
 
 
 def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
@@ -476,17 +506,19 @@ def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
     doubles.  Error rows keep their grid coordinates, leave the numeric
     fields empty, and carry "error" in the regime column.
     """
-    head = f"%.17g,%.17g,%.17g,{table.coupling.value},"
-    line = head + "%.17g," * len(VALUE_COLUMNS) + "%s\n"
-    error_line = head + "," * len(VALUE_COLUMNS) + "error\n"
+    error_line = f"%.17g,%.17g,%.17g,{table.coupling.value}," + "," * len(VALUE_COLUMNS) + "error\n"
+    columns = {"E": table.E, "V0": table.V0, "m0": table.m0, **table.values}
 
     def render(lo: int, hi: int) -> str:
-        columns = [column[lo:hi].tolist() for column in
-                   (table.E, table.V0, table.m0, *table.values.values())]
+        fixed = _fixed_fields(columns, lo, hi, "%.17g".__mod__)
+        fields = [fixed.get(name, "%.17g") for name in columns]
+        line = ",".join([*fields[:3], table.coupling.value, *fields[3:], "%s\n"])
+        varying = [column[lo:hi].tolist() for name, column in columns.items()
+                   if name not in fixed]
         lines = list(map(line.__mod__,
-                         zip(*columns, _REGIME_NAMES[table.regime[lo:hi]].tolist())))
+                         zip(*varying, _REGIME_NAMES[table.regime[lo:hi]].tolist())))
         for i in np.flatnonzero(table.error[lo:hi]).tolist():
-            lines[i] = error_line % (columns[0][i], columns[1][i], columns[2][i])
+            lines[i] = error_line % (table.E[lo + i], table.V0[lo + i], table.m0[lo + i])
         return "".join(lines)
 
     _write_rows(stream, len(table), render, CSV_HEADER + "\n", "", "")
@@ -513,18 +545,22 @@ def sweep_to_json(table: SweepTable, stream: IO[str]) -> None:
     E, V0, m0, coupling and its error message instead of values.
     """
     coupling = json.dumps(table.coupling.value)
-    slots = sorted((*SWEEP_AXES, *VALUE_COLUMNS, "regime"))
-    # regime names need no JSON escaping, so their quotes sit in the template
-    template = _json_object(
-        {**dict.fromkeys(slots, "%s"), "regime": '"%s"', "coupling": coupling})
+    columns = {**{name: getattr(table, name) for name in SWEEP_AXES}, **table.values}
 
     def render(lo: int, hi: int) -> str:
-        texts = {name: _json_numbers(getattr(table, name)[lo:hi]) for name in SWEEP_AXES}
-        texts.update((name, column[lo:hi].tolist()) for name, column in table.values.items())
+        fixed = _fixed_fields(columns, lo, hi, lambda value: json.dumps(float(value)))
+        # regime names need no JSON escaping, so their quotes sit in the template
+        template = _json_object({**dict.fromkeys(columns, "%s"), **fixed,
+                                 "regime": '"%s"', "coupling": coupling})
+        texts = {name: _json_numbers(column[lo:hi]) if name in SWEEP_AXES
+                 else column[lo:hi].tolist()
+                 for name, column in columns.items() if name not in fixed}
         texts["regime"] = _REGIME_NAMES[table.regime[lo:hi]].tolist()
-        objects = list(map(template.__mod__, zip(*(texts[name] for name in slots))))
+        # _json_object lays the fields out in key order, so the slots come in that order
+        objects = list(map(template.__mod__, zip(*(texts[name] for name in sorted(texts)))))
         for i in np.flatnonzero(table.error[lo:hi]).tolist():
-            fields = {name: str(texts[name][i]) for name in SWEEP_AXES}
+            fields = {name: json.dumps(float(getattr(table, name)[lo + i]))
+                      for name in SWEEP_AXES}
             objects[i] = _json_object(
                 {**fields, "coupling": coupling, "error": json.dumps(table[lo + i].error)})
         return ",\n".join(objects)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import stat
 import warnings
 from pathlib import Path
@@ -270,26 +271,59 @@ class TestScatterSweep:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_forked_writer_leaves_no_output(self, tmp_path, monkeypatch, capsys):
-        """A child that fails to render its rows makes the command raise,
-        with no output file, no temp file and no child left."""
+    def test_failing_forked_render_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        """A render that raises on the forked child's rows raises as one
+        process would, with no output file, no temp file and no child left."""
+        def message(self, E, V0, m0):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(scattering.SweepTable, "_error_message", message)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(scattering, "_CGROUP", "/nonexistent")
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        path = tmp_path / "sweep.json"
+        rows = 2 * scattering._FORK_ROWS + 1
+        # the 0/0 row at V0 = 2.5 is in the child's half
+        with pytest.raises(RuntimeError, match="^render failed$"):
+            main(["scatter", "--E", "1.5", "--sweep", f"V0:0:4:{rows}", "--format", "json",
+                  "--output", str(path)])
+        assert len(forks) == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_forked_child_gives_the_one_process_output(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """A child killed before it hands back its rows leaves them to the
+        command, whose file is the one a single process writes."""
+        rows = 2 * scattering._FORK_ROWS + 1
+        # JSON asks the 0/0 row, in the child's half, for its message
+        argv = ["scatter", "--E", "1.5", "--sweep", f"V0:0:4:{rows}", "--format", "json",
+                "--output"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(argv + [str(tmp_path / "one.json")]) == 0
         parent = os.getpid()
         real_message = scattering.SweepTable._error_message
 
         def message(self, E, V0, m0):
             if os.getpid() != parent:
-                raise RuntimeError("render failed in the child")
+                os.kill(os.getpid(), signal.SIGKILL)
             return real_message(self, E, V0, m0)
 
         monkeypatch.setattr(scattering.SweepTable, "_error_message", message)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        path = tmp_path / "sweep.json"
-        # rows [4096, 8193) are the child's; the 0/0 row at V0 = 2.5 is row 5120
-        with pytest.raises(RuntimeError, match="render failed in the child"):
-            main(["scatter", "--E", "1.5", "--sweep", "V0:0:4:8193", "--format", "json",
-                  "--output", str(path)])
-        assert capsys.readouterr().out == ""
-        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(scattering, "_CGROUP", "/nonexistent")
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        assert main(argv + [str(tmp_path / "forked.json")]) == 0
+        assert len(forks) == 1
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.json", "one.json"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import threading
 import warnings
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diracstep import scattering
 from diracstep.scattering import (
     CSV_HEADER,
     Coupling,
@@ -23,7 +25,7 @@ from diracstep.scattering import (
     ScatteringQuery,
     SingularConfigurationError,
     SweepTable,
-    _ROW_CHUNK,
+    _FORK_ROWS,
     _step_factor,
     _write_rows,
     amplitudes,
@@ -622,6 +624,29 @@ class TestWriters:
         assert buf.getvalue() == expected + "\n"
         assert "NaN" in expected and "-Infinity" in expected
 
+    @pytest.mark.parametrize("V0", [
+        [0.0, -0.0, 0.0],         # equal, but not the same bits
+        [-0.0, -0.0, -0.0],
+        [math.nan, math.nan, 0.5],
+        [2.5, 2.5, 2.5],          # the 0/0 point on every row
+        [0.25],
+    ])
+    def test_a_column_is_formatted_once_only_when_its_bits_agree(self, V0):
+        """E and m0 hold one value and V0 may; the bytes are the rows' own."""
+        table = SweepTable(1.5, V0, 1.0, "vector")
+        rows = list(table)
+        buf = io.StringIO()
+        sweep_to_json(table, buf)
+        assert buf.getvalue() == json.dumps([_row_dict(row) for row in rows],
+                                            indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        sweep_to_csv(table, buf)
+        lines = buf.getvalue().split("\n")[1:-1]
+        assert [line.split(",")[:3] for line in lines] == [
+            [format(v, ".17g") for v in (row.E, row.V0, row.m0)] for row in rows]
+        assert [line.split(",")[-1] for line in lines] == [
+            row.result.regime.value if row.result else "error" for row in rows]
+
     def test_csv_fields_are_17_digit_formats_of_the_rows(self):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
         rows = sweep(base, "V0", -1.0, 4.0, 41)  # 0/0 error row at V0 = 2.5
@@ -642,9 +667,11 @@ class TestWriters:
                                        + [res.regime.value])
 
 
-def _grant_cpus(monkeypatch, cpus):
-    """Make the writers see `cpus` CPUs, whatever the machine has."""
+def _grant_cpus(monkeypatch, cpus, cgroup="/nonexistent"):
+    """Make the writers see `cpus` CPUs and the cgroup files under `cgroup`
+    (none by default), whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(scattering, "_CGROUP", str(cgroup))
 
 
 def _count_forks(monkeypatch) -> list:
@@ -665,32 +692,40 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _boundary_table(boundary):
-    """3 * _ROW_CHUNK vector rows at E = 1.5 with the 0/0 row (V0 = 2.5,
-    exact on a grid of step 1/1024) at index `boundary`, rows below
-    threshold in every range and a NaN coordinate in the last row."""
-    n = 3 * _ROW_CHUNK
-    V0 = 2.5 + (np.arange(n) - boundary) / 1024
+def _boundary_table():
+    """2 * _FORK_ROWS + 1 vector rows at E = 1.5 with the 0/0 row (V0 = 2.5,
+    exact on a grid of step 1/1024) first in the second half, rows below
+    threshold in both halves and a NaN coordinate in the last row."""
+    n = 2 * _FORK_ROWS + 1
+    V0 = 2.5 + (np.arange(n) - n // 2) / 1024
     V0[-1] = math.nan
     E = np.full(n, 1.5)
     E[::1000] = 0.5
     table = SweepTable(E, V0, 1.0, "vector")
-    assert "degenerate" in table[boundary].error
+    assert "degenerate" in table[n // 2].error
     return table
 
 
+def _render_in_process(writer, table, monkeypatch) -> str:
+    _grant_cpus(monkeypatch, 1)
+    buf = io.StringIO()
+    writer(table, buf)
+    return buf.getvalue()
+
+
 class TestForkedWriters:
+    F = _FORK_ROWS
+
     @pytest.mark.parametrize("rows,cpus,ranges", [
         (1, 64, ["0:1"]),
         (401, 64, ["0:401"]),
-        (2 * _ROW_CHUNK - 1, 2, ["0:8191"]),      # a second range would be short
-        (2 * _ROW_CHUNK, 2, ["0:4096", "4096:8192"]),
-        (2 * _ROW_CHUNK, 1, ["0:8192"]),
-        (3 * _ROW_CHUNK - 1, 3, ["0:6143", "6143:12287"]),
-        (3 * _ROW_CHUNK + 2, 3, ["0:4096", "4096:8193", "8193:12290"]),
+        (2 * F - 1, 2, [f"0:{2 * F - 1}"]),  # a half would be short
+        (2 * F, 2, [f"0:{F}", f"{F}:{2 * F}"]),
+        (2 * F, 1, [f"0:{2 * F}"]),
+        (8 * F + 1, 64, [f"0:{4 * F}", f"{4 * F}:{8 * F + 1}"]),  # never more than one child
     ])
-    def test_ranges_keep_a_chunk_each_and_join_in_order(self, rows, cpus, ranges,
-                                                         monkeypatch):
+    def test_halves_keep_the_fork_minimum_and_join_in_order(self, rows, cpus, ranges,
+                                                             monkeypatch):
         _grant_cpus(monkeypatch, cpus)
         forks = _count_forks(monkeypatch)
         buf = io.StringIO()
@@ -700,82 +735,124 @@ class TestForkedWriters:
         _assert_no_child_left()
 
     @pytest.mark.parametrize("writer", [sweep_to_csv, sweep_to_json])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_every_range_count_writes_the_same_bytes(self, writer, cpus, monkeypatch):
-        """Error rows, a NaN coordinate and the 0/0 row on the first range
-        boundary come out as one in-process range writes them."""
-        table = _boundary_table(3 * _ROW_CHUNK // max(cpus, 2))
-        _grant_cpus(monkeypatch, 1)
-        expected = io.StringIO()
-        writer(table, expected)
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_halves_write_the_in_process_bytes(self, writer, cpus, monkeypatch):
+        """Error rows, a NaN coordinate and the 0/0 row on the halves'
+        boundary come out as one in-process pass writes them."""
+        table = _boundary_table()
+        expected = _render_in_process(writer, table, monkeypatch)
         _grant_cpus(monkeypatch, cpus)
         forks = _count_forks(monkeypatch)
         buf = io.StringIO()
         writer(table, buf)
-        assert len(forks) == cpus - 1
-        assert buf.getvalue() == expected.getvalue()
+        assert len(forks) == 1
+        assert buf.getvalue() == expected
         _assert_no_child_left()
         if writer is sweep_to_json:
             rows = [_row_dict(row) for row in table]
             assert buf.getvalue() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
-    def test_a_failing_child_makes_the_writer_raise(self, monkeypatch):
-        """A child's error reaches the caller with its range; nothing is
-        written and no child is left."""
-        table = _boundary_table(2 * _ROW_CHUNK)
+    def test_a_render_that_raises_raises_here_as_in_process(self, monkeypatch):
+        """A render that fails on the child's rows fails again when this
+        process renders them: the caller gets the in-process exception, nothing
+        is written and no child is left."""
+        table = _boundary_table()
+
+        def message(self, E, V0, m0):
+            raise RuntimeError("no message")
+
+        monkeypatch.setattr(SweepTable, "_error_message", message)
+        forks = _count_forks(monkeypatch)
+        for cpus in (1, 2):
+            _grant_cpus(monkeypatch, cpus)
+            buf = io.StringIO()
+            with pytest.raises(RuntimeError, match="^no message$"):
+                sweep_to_json(table, buf)
+            assert buf.getvalue() == ""
+            _assert_no_child_left()
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fail", [
+        lambda: 1 / 0,
+        lambda: os._exit(3),
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
+    ], ids=["raises", "exit-code-3", "killed"])
+    def test_rows_a_child_does_not_hand_back_are_rendered_here(self, fail, monkeypatch):
         parent = os.getpid()
+        table = _boundary_table()
+        expected = _render_in_process(sweep_to_json, table, monkeypatch)
         real_message = SweepTable._error_message
 
         def message(self, E, V0, m0):
             if os.getpid() != parent:
-                raise RuntimeError("render failed in the child")
+                fail()
             return real_message(self, E, V0, m0)
 
         monkeypatch.setattr(SweepTable, "_error_message", message)
-        _grant_cpus(monkeypatch, 3)
+        _grant_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
         buf = io.StringIO()
-        with pytest.raises(RuntimeError, match=r"rows 4096\.\.8192 .*render failed"):
-            sweep_to_json(table, buf)
-        assert buf.getvalue() == ""
+        sweep_to_json(table, buf)  # the JSON writer asks the child's error rows for messages
+        assert len(forks) == 1
+        assert buf.getvalue() == expected
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("fail,reason", [
-        (lambda: 1 / 0, "ZeroDivisionError: division by zero"),
-        (lambda: os._exit(3), "exit code 3"),
-    ])
-    def test_a_child_that_renders_nothing_makes_the_writer_raise(self, fail, reason,
-                                                                 monkeypatch):
+    def test_a_failed_fork_renders_in_process(self, monkeypatch):
+        table = _boundary_table()
+        expected = _render_in_process(sweep_to_json, table, monkeypatch)
+
+        def fork():
+            raise BlockingIOError("no process left")
+
+        monkeypatch.setattr(os, "fork", fork)
+        _grant_cpus(monkeypatch, 2)
+        buf = io.StringIO()
+        sweep_to_json(table, buf)
+        assert buf.getvalue() == expected
+
+    def test_a_failing_first_half_reaps_the_child(self, monkeypatch):
         def render(lo, hi):
-            if lo:
-                fail()
-            return f"{lo}:{hi}"
+            if lo == 0:
+                raise MemoryError("first half")
+            return "x" * (1 << 20)  # more than a pipe holds: the child blocks writing
 
         _grant_cpus(monkeypatch, 2)
         buf = io.StringIO()
-        with pytest.raises(RuntimeError, match=f"rows 4096..8192 .*: {reason}$"):
-            _write_rows(buf, 2 * _ROW_CHUNK, render, "", "", "")
+        with pytest.raises(MemoryError, match="first half"):
+            _write_rows(buf, 2 * _FORK_ROWS, render, "", "", "")
         assert buf.getvalue() == ""
         _assert_no_child_left()
 
-    def test_a_failing_first_range_reaps_the_children(self, monkeypatch):
-        def render(lo, hi):
-            if lo == 0:
-                raise MemoryError("first range")
-            return "x" * (1 << 20)  # more than a pipe holds: the child blocks writing
-
-        _grant_cpus(monkeypatch, 3)
+    @pytest.mark.parametrize("files,forks", [
+        ({"cpu.max": "max 100000\n"}, 1),
+        ({"cpu.max": "200000 100000\n"}, 1),
+        ({"cpu.max": "150000 100000\n"}, 0),
+        ({"cpu.max": "100000 100000\n"}, 0),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 0),
+        ({"cpu/cpu.cfs_quota_us": "400000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu.max": "garbled\n"}, 1),
+        ({}, 1),
+    ], ids=["v2-none", "v2-2", "v2-1.5", "v2-1", "v1-none", "v1-0.5", "v1-4", "garbled",
+            "no-files"])
+    def test_a_cgroup_quota_under_two_cpus_keeps_the_writer_in_process(
+            self, files, forks, tmp_path, monkeypatch):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        _grant_cpus(monkeypatch, 8, cgroup=tmp_path)
+        made = _count_forks(monkeypatch)
         buf = io.StringIO()
-        with pytest.raises(MemoryError, match="first range"):
-            _write_rows(buf, 3 * _ROW_CHUNK, render, "", "", "")
-        assert buf.getvalue() == ""
+        _write_rows(buf, 2 * _FORK_ROWS, lambda lo, hi: f"{lo}:{hi}", "", "|", "")
+        assert len(made) == forks
+        assert buf.getvalue() == (f"0:{_FORK_ROWS}|{_FORK_ROWS}:{2 * _FORK_ROWS}" if forks
+                                  else f"0:{2 * _FORK_ROWS}")
         _assert_no_child_left()
 
     def test_a_second_thread_keeps_the_writer_in_process(self, monkeypatch):
-        table = _boundary_table(_ROW_CHUNK)
-        _grant_cpus(monkeypatch, 1)
-        expected = io.StringIO()
-        sweep_to_csv(table, expected)
-        _grant_cpus(monkeypatch, 3)
+        table = _boundary_table()
+        expected = _render_in_process(sweep_to_csv, table, monkeypatch)
+        _grant_cpus(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(10,))
@@ -788,4 +865,4 @@ class TestForkedWriters:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert forks == []
-        assert buf.getvalue() == expected.getvalue()
+        assert buf.getvalue() == expected
