@@ -151,7 +151,10 @@ def _output(path: str | None) -> Iterator[IO[str]]:
         return
     tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                             f".tmp-diracstep-{os.urandom(6).hex()}")
-    fh = open(tmp_path, "x")
+    try:
+        fh = open(tmp_path, "x")
+    except OSError as exc:  # the temp file's name means nothing to the user
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh

@@ -42,8 +42,9 @@ A point has an answer iff E, V0 and m0 are finite, E > m0 > 0, and r and
 t come out finite; amplitudes() refuses any other point with ValueError,
 and a SweepTable marks it as an error row.
 
-sweep_to_csv and sweep_to_json share one row path: each renders rows
-[lo, hi) of a table, and _write_rows joins consecutive ranges.  When the
+sweep_to_csv and sweep_to_json share one row path, _render_rows, and give
+it only their format: number text, row layout, error-row text and
+separator.  _write_rows joins consecutive row ranges [lo, hi).  When the
 process may keep two or more CPUs busy (its os.sched_getaffinity set and
 its cgroup's CPU quota), runs no other Python thread and the table holds
 at least 2 * _FORK_ROWS rows, one forked child renders the second half of
@@ -60,7 +61,7 @@ import threading
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, NoReturn
+from typing import IO
 
 import numpy as np
 
@@ -287,7 +288,7 @@ class SweepTable(Sequence[SweepRow]):
     """Closed-form results over a set of points, one numpy array per column.
 
     The constructor evaluates the whole closed form at once: E, V0 and m0
-    are broadcast to one 1-D grid, and ``values`` maps each of
+    must broadcast to one 1-D grid, and ``values`` maps each of
     VALUE_COLUMNS to a float64 array that is bitwise what amplitudes()
     returns at that point.  ``regime`` indexes (transmission, evanescent,
     klein_zone); ``error`` marks the points amplitudes() refuses: a point is
@@ -303,6 +304,8 @@ class SweepTable(Sequence[SweepRow]):
         self.coupling = Coupling(coupling)
         E, V0, m0 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
                                           for x in (E, V0, m0)))
+        if E.ndim != 1:
+            raise ValueError(f"E, V0 and m0 must broadcast to one 1-D grid, got shape {E.shape}")
         self.E, self.V0, self.m0 = E, V0, m0
         with np.errstate(all="ignore"):
             omega, mass = _channel(self.coupling, E, V0, m0)
@@ -395,6 +398,32 @@ CSV_HEADER = ",".join((*SWEEP_AXES, "coupling", *VALUE_COLUMNS, "regime"))
 _REGIME_NAMES = np.array([regime.value for regime in _REGIMES], dtype=object)
 
 
+def _render_rows(table: SweepTable, lo: int, hi: int, fields: Sequence[str], slot: str,
+                 layout: Callable[[dict[str, str]], str], error_row: Callable[[int], str],
+                 sep: str) -> str:
+    """Rows lo..hi of `table`, `sep` between them.  layout(texts) is a row's
+    template: it lays out the text of each number column and of the regime
+    in the order `fields` names them.  A number column that holds the same
+    bits on rows lo..hi has the text `slot % value`; every other has `slot`
+    and the regime "%s", filled from each row.  Error row i is error_row(i).
+    """
+    columns = {"E": table.E, "V0": table.V0, "m0": table.m0, **table.values}
+    texts = {"regime": "%s"}
+    varying = {"regime": _REGIME_NAMES[table.regime[lo:hi]].tolist()}
+    for name, column in columns.items():
+        bits = column[lo:hi].view(np.uint64)
+        if len(bits) and (bits == bits[0]).all():
+            texts[name] = slot % float(column[lo])
+        else:
+            texts[name], varying[name] = slot, column[lo:hi].tolist()
+    template = layout(texts)
+    rows = list(map(template.__mod__,
+                    zip(*(varying[name] for name in fields if name in varying))))
+    for i in np.flatnonzero(table.error[lo:hi]).tolist():
+        rows[i] = error_row(lo + i)
+    return sep.join(rows)
+
+
 def _write_rows(stream: IO[str], n: int, render: Callable[[int, int], str],
                 before: str, between: str, after: str) -> None:
     """Write `before`, render(lo, hi) for consecutive ranges [lo, hi) that
@@ -404,23 +433,19 @@ def _write_rows(stream: IO[str], n: int, render: Callable[[int, int], str],
     other Python thread runs and each half of the rows holds _FORK_ROWS,
     a forked child renders the second half while this process renders the
     first.  Otherwise [0, n) is one range, rendered here.  A child that does
-    not hand back its rows (its render raised, or it was killed) leaves its
-    half to be rendered here, so the bytes, and any exception, are those of
-    one pass in this process.
+    not hand back its rows (its render raised, or it was killed), or a fork
+    that fails, leaves the half to be rendered here, so the bytes, and any
+    exception, are those of one pass in this process.
     """
     half = n // 2
     if half >= _FORK_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
             and threading.active_count() == 1 and _usable_cpus() >= 2:
-        texts = _render_halves(render, half, n)
+        first, second = _render_halves(render, half, n)
+        pieces = [before, first, between, second, after]
     else:
-        texts = [render(0, n)]
+        pieces = [before, render(0, n), after]
     # in pieces: joining them would copy the whole document once more
-    stream.write(before)
-    for i, text in enumerate(texts):
-        if i:
-            stream.write(between)
-        stream.write(text)
-    stream.write(after)
+    stream.writelines(pieces)
 
 
 def _usable_cpus() -> float:
@@ -444,19 +469,29 @@ def _usable_cpus() -> float:
     return cpus
 
 
-def _render_halves(render: Callable[[int, int], str], half: int, n: int) -> list[str]:
-    """[render(0, half), render(half, n)], the second rendered by a forked
-    child when it succeeds.  The child is reaped before this returns or
-    raises."""
+def _render_halves(render: Callable[[int, int], str], half: int, n: int) -> tuple[str, str]:
+    """render(0, half) and render(half, n), the second by a forked child
+    when one can be made and hands its rows back.  The child is reaped
+    before this returns or raises."""
     reader, writer = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(reader)
         os.close(writer)
-        return [render(0, n)]
+        return render(0, half), render(half, n)
     if pid == 0:
-        _render_child(render, half, n, reader, writer)
+        # The whole range is rendered before a byte is written, so a full pipe
+        # cannot stall the child while this process renders.  os._exit runs no
+        # atexit handler and flushes none of this process's buffers.
+        status = 1
+        try:
+            os.close(reader)
+            with open(writer, "wb") as pipe:
+                pipe.write(render(half, n).encode())
+            status = 0
+        finally:
+            os._exit(status)
     os.close(writer)
     try:
         # closing the read end first frees a child blocked on a full pipe
@@ -465,38 +500,7 @@ def _render_halves(render: Callable[[int, int], str], half: int, n: int) -> list
             data = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
-    return [first, data.decode() if status == 0 else render(half, n)]
-
-
-def _render_child(render: Callable[[int, int], str], lo: int, hi: int,
-                  reader: int, writer: int) -> NoReturn:
-    """A forked child's whole life: render rows lo..hi, write them to
-    `writer` as UTF-8 and leave through os._exit, which runs no atexit
-    handler and flushes none of the parent's buffers.  The whole range is
-    rendered before the first byte is written, so a full pipe cannot stall
-    the child while the parent renders.  Exit code 0 means every row was
-    written; any failure leaves silently with exit code 1."""
-    status = 1
-    try:
-        os.close(reader)
-        data = render(lo, hi).encode()
-        with open(writer, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fixed_fields(columns: dict[str, np.ndarray], lo: int, hi: int,
-                  text: Callable[[np.float64], str]) -> dict[str, str]:
-    """text(value) of each column whose rows lo..hi all hold the same bits,
-    so that a writer formats the value once instead of once a row."""
-    fixed = {}
-    for name, column in columns.items():
-        bits = column[lo:hi].view(np.uint64)
-        if len(bits) and (bits == bits[0]).all():
-            fixed[name] = text(column[lo])
-    return fixed
+    return first, data.decode() if status == 0 else render(half, n)
 
 
 def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
@@ -506,22 +510,19 @@ def sweep_to_csv(table: SweepTable, stream: IO[str]) -> None:
     doubles.  Error rows keep their grid coordinates, leave the numeric
     fields empty, and carry "error" in the regime column.
     """
-    error_line = f"%.17g,%.17g,%.17g,{table.coupling.value}," + "," * len(VALUE_COLUMNS) + "error\n"
-    columns = {"E": table.E, "V0": table.V0, "m0": table.m0, **table.values}
+    coupling = table.coupling.value
+    fields = CSV_HEADER.split(",")
+    error_line = f"%.17g,%.17g,%.17g,{coupling}," + "," * len(VALUE_COLUMNS) + "error\n"
 
-    def render(lo: int, hi: int) -> str:
-        fixed = _fixed_fields(columns, lo, hi, "%.17g".__mod__)
-        fields = [fixed.get(name, "%.17g") for name in columns]
-        line = ",".join([*fields[:3], table.coupling.value, *fields[3:], "%s\n"])
-        varying = [column[lo:hi].tolist() for name, column in columns.items()
-                   if name not in fixed]
-        lines = list(map(line.__mod__,
-                         zip(*varying, _REGIME_NAMES[table.regime[lo:hi]].tolist())))
-        for i in np.flatnonzero(table.error[lo:hi]).tolist():
-            lines[i] = error_line % (table.E[lo + i], table.V0[lo + i], table.m0[lo + i])
-        return "".join(lines)
+    def layout(texts: dict[str, str]) -> str:
+        return ",".join(map({**texts, "coupling": coupling}.get, fields)) + "\n"
 
-    _write_rows(stream, len(table), render, CSV_HEADER + "\n", "", "")
+    def error_row(i: int) -> str:
+        return error_line % (table.E[i], table.V0[i], table.m0[i])
+
+    _write_rows(stream, len(table),
+                lambda lo, hi: _render_rows(table, lo, hi, fields, "%.17g", layout, error_row, ""),
+                CSV_HEADER + "\n", "", "")
 
 
 def _json_object(fields: dict[str, str]) -> str:
@@ -531,38 +532,30 @@ def _json_object(fields: dict[str, str]) -> str:
     return f"  {{\n{body}\n  }}"
 
 
-def _json_numbers(column: np.ndarray) -> list:
-    # str(float) is the json module's text for finite floats, but not for NaN or inf
-    if np.isfinite(column).all():
-        return column.tolist()
-    return [json.dumps(value) for value in column.tolist()]
-
-
 def sweep_to_json(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as json.dumps(rows, indent=2, sort_keys=True) writes it.
 
     Each row is an object keyed by the CSV column names; an error row holds
     E, V0, m0, coupling and its error message instead of values.
     """
+    if not len(table):
+        stream.write("[]\n")
+        return
     coupling = json.dumps(table.coupling.value)
-    columns = {**{name: getattr(table, name) for name in SWEEP_AXES}, **table.values}
+    fields = sorted(CSV_HEADER.split(","))
 
-    def render(lo: int, hi: int) -> str:
-        fixed = _fixed_fields(columns, lo, hi, lambda value: json.dumps(float(value)))
+    def layout(texts: dict[str, str]) -> str:
+        # a number's str() is its JSON text, as a valid row's numbers are finite;
         # regime names need no JSON escaping, so their quotes sit in the template
-        template = _json_object({**dict.fromkeys(columns, "%s"), **fixed,
-                                 "regime": '"%s"', "coupling": coupling})
-        texts = {name: _json_numbers(column[lo:hi]) if name in SWEEP_AXES
-                 else column[lo:hi].tolist()
-                 for name, column in columns.items() if name not in fixed}
-        texts["regime"] = _REGIME_NAMES[table.regime[lo:hi]].tolist()
-        # _json_object lays the fields out in key order, so the slots come in that order
-        objects = list(map(template.__mod__, zip(*(texts[name] for name in sorted(texts)))))
-        for i in np.flatnonzero(table.error[lo:hi]).tolist():
-            fields = {name: json.dumps(float(getattr(table, name)[lo + i]))
-                      for name in SWEEP_AXES}
-            objects[i] = _json_object(
-                {**fields, "coupling": coupling, "error": json.dumps(table[lo + i].error)})
-        return ",\n".join(objects)
+        return _json_object({**texts, "coupling": coupling, "regime": '"%s"'})
 
-    _write_rows(stream, len(table), render, "[\n", ",\n", "\n]\n")
+    def error_row(i: int) -> str:
+        point = {name: float(getattr(table, name)[i]) for name in SWEEP_AXES}
+        return _json_object({**{name: json.dumps(value) for name, value in point.items()},
+                             "coupling": coupling,
+                             "error": json.dumps(table._error_message(**point))})
+
+    _write_rows(stream, len(table),
+                lambda lo, hi: _render_rows(table, lo, hi, fields, "%s", layout, error_row,
+                                            ",\n"),
+                "[\n", ",\n", "\n]\n")

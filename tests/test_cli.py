@@ -649,6 +649,23 @@ def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, capsys):
         dict.fromkeys(names, 0o644)
 
 
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--E", "2", "--sweep", "V0:0:4:3", "--output"],
+    ["scatter", "--E", "1.5", "--V0", "3", "--format", "json", "--output"],
+    ["evolve", "--grid-n", "256", "--steps", "10", "--output"],
+    ["algebra", "--n", "3", "--emit-json"],
+], ids=["sweep", "point", "evolve", "algebra"])
+def test_an_artifact_that_cannot_be_opened_names_the_users_path(argv, tmp_path, capsys):
+    """The error names the path given on the command line, not the temp
+    file written beside it."""
+    path = tmp_path / "missing" / "out.file"
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and f"'{path}'" in err
+    assert ".tmp-diracstep" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestAlgebra:
     def test_build_and_verify_line(self, capsys):
         assert main(["algebra", "--n", "3"]) == 0

@@ -403,6 +403,14 @@ class TestSweep:
         assert all("must be finite" in row.error for row in rows[:3])
         assert rows[3].error is None
 
+    @pytest.mark.parametrize("E,V0", [
+        ([[1.5, 2.0], [3.0, 4.0]], 0.5),
+        ([1.5, 2.0], [[0.5], [1.0]]),
+    ])
+    def test_rejects_coordinates_that_are_not_one_1d_grid(self, E, V0):
+        with pytest.raises(ValueError, match="one 1-D grid, got shape \\(2, 2\\)"):
+            SweepTable(E, V0, 1.0, "vector")
+
     def test_csv_round_trips_at_17_digits(self):
         base = ScatteringQuery(E=1.5, V0=0.0, m0=1.0)
         rows = sweep(base, "V0", 0.0, 4.0, 9)
@@ -630,6 +638,7 @@ class TestWriters:
         [math.nan, math.nan, 0.5],
         [2.5, 2.5, 2.5],          # the 0/0 point on every row
         [0.25],
+        [],                       # an empty table: json.dumps writes "[]"
     ])
     def test_a_column_is_formatted_once_only_when_its_bits_agree(self, V0):
         """E and m0 hold one value and V0 may; the bytes are the rows' own."""
@@ -695,13 +704,17 @@ def _assert_no_child_left():
 def _boundary_table():
     """2 * _FORK_ROWS + 1 vector rows at E = 1.5 with the 0/0 row (V0 = 2.5,
     exact on a grid of step 1/1024) first in the second half, rows below
-    threshold in both halves and a NaN coordinate in the last row."""
+    threshold in both halves, a NaN coordinate in the last row and +-inf in
+    each of E, V0 and m0 in both halves."""
     n = 2 * _FORK_ROWS + 1
     V0 = 2.5 + (np.arange(n) - n // 2) / 1024
     V0[-1] = math.nan
     E = np.full(n, 1.5)
     E[::1000] = 0.5
-    table = SweepTable(E, V0, 1.0, "vector")
+    m0 = np.ones(n)
+    for column, i in ((E, 1), (V0, 2), (m0, 3), (E, n - 4), (V0, n - 3), (m0, n - 2)):
+        column[i] = math.inf if i < n // 2 else -math.inf
+    table = SweepTable(E, V0, m0, "vector")
     assert "degenerate" in table[n // 2].error
     return table
 
@@ -715,6 +728,40 @@ def _render_in_process(writer, table, monkeypatch) -> str:
 
 class TestForkedWriters:
     F = _FORK_ROWS
+
+    @pytest.fixture(autouse=True)
+    def watchdog(self, monkeypatch):
+        """Fail a test still running after a minute, such as a writer stuck in
+        os.waitpid on a child that never exits, instead of hanging the run.
+        The SIGALRM handler kills and reaps the children not yet reaped, which
+        would keep the run's output pipes open, and its exception interrupts
+        the blocking call.  A forked child does not inherit the timer."""
+        children = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            children.append(pid)
+            return pid
+
+        def expire(signum, frame):
+            for pid in children:
+                try:
+                    if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped already
+                    pass
+            raise TimeoutError("forked writer test still running after 60 s")
+
+        monkeypatch.setattr(os, "fork", fork)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("rows,cpus,ranges", [
         (1, 64, ["0:1"]),
