@@ -4,8 +4,9 @@ Natural units (hbar = c = 1) everywhere.  Four areas:
 
 - algebra: Dirac matrices {alpha_1..alpha_n, beta} in n+1 dimensions,
   exact minimal construction plus a certificate-style verifier.
-- scattering: closed-form step scattering for vector/scalar coupling,
-  amplitudes, flux coefficients, Klein-zone classification.
+- scattering: closed-form step scattering for all three couplings
+  (vector, scalar, pseudoscalar), amplitudes, flux coefficients,
+  Klein-zone classification.
 - dynamics: norm-preserving split-step spectral evolution of spinor
   wave packets, for any of the three couplings.
 - cli/svgplot: command-line front end with CSV/JSON/SVG output.

@@ -158,7 +158,10 @@ def _output(path: str | None) -> Iterator[IO[str]]:
     try:
         with fh:
             yield fh
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:  # e.g. path is a directory: name it, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp_path)
         raise
@@ -266,8 +269,8 @@ def run_evolve(args: argparse.Namespace) -> int:
         summary["analytic_r"] = res.r
         summary["analytic_t"] = res.t
     except ValueError:
-        # no closed-form reference: pseudoscalar coupling, a massless
-        # packet, a 0/0 point, or an overflow
+        # no closed-form reference: a massless packet, a 0/0 point, or an
+        # overflow
         pass
     for caught_warning in caught:
         print(f"warning: {caught_warning.message}", file=sys.stderr)

@@ -6,21 +6,22 @@ enters the Dirac equation:
 
   vector        V added to the energy        (coupling matrix I)
   scalar        V added to the mass          (coupling matrix sigma_z)
-  pseudoscalar  off-diagonal sigma_y channel (no closed form here; the
-                dynamics module treats it numerically)
+  pseudoscalar  V as a sigma_y term          (coupling matrix sigma_y)
 
 The closed-form solution is expressed through two kinematic factors,
 the lower/upper spinor-component ratios on each side of the step.  The
 step enters only through one substitution, written once (_channel): on
-the transmitted side the pair (omega, mass) is (E - V0, m0) for a vector
-step and (E, m0 + V0) for a scalar one, and
+the transmitted side the triple (omega, mass, nu) is (E - V0, m0, 0) for
+a vector step, (E, m0 + V0, 0) for a scalar one and (E, m0, V0) for a
+pseudoscalar one, and
 
     a = sqrt(E^2 - m0^2) / (E + m0)
-    b = sqrt(omega^2 - mass^2) / (omega + mass)
+    b = (sqrt(omega^2 - mass^2 - nu^2) + i nu) / (omega + mass)
 
 with the principal square root throughout: a negative radicand gives
-+i*sqrt(|.|) (the decaying evanescent branch).  Matching the spinor at
-the step yields the amplitudes
++i*sqrt(|.|) (the decaying evanescent branch).  The incident side has no
+sigma_y term, so a is real, and matching the spinor at the step yields
+the amplitudes
 
     R = (a - b) / (a + b),   T = 2a / (a + b),   1 + R = T,
 
@@ -36,7 +37,9 @@ transmitted wave propagates with inverted kinematics, its group velocity
 pointing away from the step.  This is the Klein zone, where r > 1 and
 t < 0.  Flipping the root sign would erase the effect.  Under scalar
 coupling the substitution m0 -> m0 + V0 can never make b negative, so
-the Klein zone does not exist there.
+the Klein zone does not exist there.  Nor under pseudoscalar coupling,
+whose denominator is E + m0 > 0: that step is evanescent iff
+E^2 <= m0^2 + V0^2, with r = 1 and t = 0, and transmits otherwise.
 
 A point has an answer iff E, V0 and m0 are finite, E > m0 > 0, and r and
 t come out finite; amplitudes() refuses any other point with ValueError,
@@ -93,7 +96,9 @@ _COUPLING_MATRICES = {
 class Regime(str, Enum):
     """Vector: transmission iff E - V0 > m0, Klein zone iff V0 > E + m0,
     evanescent otherwise.  Scalar: transmission iff E > |m0 + V0|,
-    evanescent otherwise; there is no scalar Klein zone."""
+    evanescent otherwise.  Pseudoscalar: transmission iff
+    E^2 > m0^2 + V0^2, evanescent otherwise.  Only a vector step has a
+    Klein zone."""
 
     TRANSMISSION = "transmission"
     EVANESCENT = "evanescent"
@@ -145,46 +150,50 @@ class ScatteringResult:
 
 
 def _channel(coupling: Coupling, E, V0, m0):
-    """The (omega, mass) pair on the transmitted side of the step.
+    """The (omega, mass, nu) triple on the transmitted side of the step.
 
-    A vector step shifts the energy, (E - V0, m0); a scalar step shifts the
-    mass, (E, m0 + V0).  Works on floats and numpy arrays alike, and is the
-    one place that refuses pseudoscalar coupling.
+    A vector step shifts the energy, (E - V0, m0, 0); a scalar step shifts
+    the mass, (E, m0 + V0, 0); a pseudoscalar step adds a sigma_y term,
+    (E, m0, V0).  Works on floats and numpy arrays alike.
     """
     if coupling is Coupling.VECTOR:
-        return E - V0, m0
+        return E - V0, m0, 0.0
     if coupling is Coupling.SCALAR:
-        return E, m0 + V0
-    raise ValueError(
-        "pseudoscalar coupling has no closed-form step solution; use the dynamics module")
+        return E, m0 + V0, 0.0
+    return E, m0, V0
 
 
-def _step_factor(omega: float, mass: float) -> complex:
-    """Principal-root kinematic factor sqrt(omega^2 - mass^2)/(omega + mass).
+def _step_factor(omega: float, mass: float, nu: float = 0.0) -> complex:
+    """Principal-root kinematic factor
+    (sqrt(omega^2 - mass^2 - nu^2) + i nu)/(omega + mass).
 
-    Both couplings reduce to this with their (omega, mass) pair from
+    Every coupling reduces to this with its (omega, mass, nu) triple from
     _channel, which makes the scalar substitution m0 -> m0 + V0 literally
-    the same code path.
+    the same code path.  The sigma_y term is added as 0.0 + nu/(omega + mass)
+    so that nu = 0 leaves the bits of the nu-free factor, +0.0 included.
     """
-    radicand = omega * omega - mass * mass
+    radicand = omega * omega - mass * mass - nu * nu
     denominator = omega + mass
     if denominator == 0.0:
-        # omega == -mass exactly, so the radicand is exactly zero too:
+        # omega == -mass exactly, and nu = 0 (a pseudoscalar step keeps
+        # omega + mass = E + m0 > 0), so the radicand is exactly zero too:
         # a 0/0 point where the closed form is undefined.
         raise SingularConfigurationError(
             f"degenerate kinematics: omega + mass = 0 at omega={omega}, mass={mass} "
             "(transmitted factor is a 0/0 limit here)"
         )
+    shift = nu / denominator
     if radicand >= 0.0:
-        return complex(math.sqrt(radicand) / denominator, 0.0)
-    return complex(0.0, math.sqrt(-radicand) / denominator)
+        return complex(math.sqrt(radicand) / denominator, 0.0 + shift)
+    return complex(0.0, math.sqrt(-radicand) / denominator + shift)
 
 
 def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> complex:
     """Transmitted-side kinematic factor b.
 
-    Vector:  b = sqrt((E-V0)^2 - m0^2) / (E - V0 + m0)
-    Scalar:  b = sqrt(E^2 - (m0+V0)^2) / (E + m0 + V0)
+    Vector:        b = sqrt((E-V0)^2 - m0^2) / (E - V0 + m0)
+    Scalar:        b = sqrt(E^2 - (m0+V0)^2) / (E + m0 + V0)
+    Pseudoscalar:  b = (sqrt(E^2 - m0^2 - V0^2) + i V0) / (E + m0)
 
     Principal square root: negative radicand -> +i*sqrt(|.|), the decaying
     evanescent branch.  In the vector Klein zone (V0 > E + m0) the radicand
@@ -194,10 +203,10 @@ def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> co
     return amplitudes(ScatteringQuery(E, V0, m0, coupling)).b
 
 
-def _regime(omega: float, mass: float) -> Regime:
+def _regime(omega: float, mass: float, nu: float) -> Regime:
     # the radicand and denominator of _step_factor, so the label always
     # agrees with the branch b took
-    if omega * omega - mass * mass > 0.0:
+    if omega * omega - mass * mass - nu * nu > 0.0:
         return Regime.TRANSMISSION if omega + mass > 0.0 else Regime.KLEIN_ZONE
     return Regime.EVANESCENT
 
@@ -210,15 +219,15 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     isolated degenerate points where a + b = 0 or b is a 0/0 limit, and
     ValueError where a is not positive (E and m0 so small that it underflows
     to 0, or so large that E^2 and m0^2 overflow) or the closed form
-    overflows (E^2, omega^2 or mass^2 past the float range), which leaves r
-    or t non-finite.
+    overflows (E^2, omega^2, mass^2 or nu^2 past the float range), which
+    leaves r or t non-finite.
     """
     # Python floats: numpy scalars would warn on the overflows refused below
     E, V0, m0 = float(q.E), float(q.V0), float(q.m0)
-    omega, mass = _channel(q.coupling, E, V0, m0)
+    omega, mass, nu = _channel(q.coupling, E, V0, m0)
     # the query holds finite E > m0 > 0, so the radicand is not negative
     a = math.sqrt(E * E - m0 * m0) / (E + m0)
-    b = _step_factor(omega, mass)
+    b = _step_factor(omega, mass, nu)
     if a + b == 0:
         raise SingularConfigurationError(
             f"a + b = 0 at E={E}, V0={V0}, m0={m0}: amplitudes diverge"
@@ -235,7 +244,7 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
             f"closed form overflows at E={E}, V0={V0}, m0={m0}: "
             f"r={r} and t={t} are not finite"
         )
-    return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=_regime(omega, mass))
+    return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=_regime(omega, mass, nu))
 
 
 @dataclass(frozen=True)
@@ -308,13 +317,13 @@ class SweepTable(Sequence[SweepRow]):
             raise ValueError(f"E, V0 and m0 must broadcast to one 1-D grid, got shape {E.shape}")
         self.E, self.V0, self.m0 = E, V0, m0
         with np.errstate(all="ignore"):
-            omega, mass = _channel(self.coupling, E, V0, m0)
-            radicand = omega * omega - mass * mass
+            omega, mass, nu = _channel(self.coupling, E, V0, m0)
+            radicand = omega * omega - mass * mass - nu * nu
             denominator = omega + mass
             propagating = radicand >= 0.0
             a = np.sqrt(E * E - m0 * m0) / (E + m0)
             re_b = np.where(propagating, np.sqrt(radicand) / denominator, 0.0)
-            im_b = np.where(propagating, 0.0, np.sqrt(-radicand) / denominator)
+            im_b = np.where(propagating, 0.0, np.sqrt(-radicand) / denominator) + nu / denominator
             # Python's float-complex arithmetic: a - b = (a - re_b, 0.0 - im_b)
             # and a + b = (a + re_b, 0.0 + im_b); "0.0 -" keeps the signed zeros.
             re_sum, im_sum = a + re_b, 0.0 + im_b

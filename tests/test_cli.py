@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -104,11 +105,24 @@ class TestScatterSingle:
         assert json_path.read_text() == json.dumps([expected], indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv", [[], ["--sweep", "V0:0:4:5"]])
-    def test_pseudoscalar_exits_2(self, argv, capsys):
-        assert main(["scatter", "--E", "2", "--coupling", "pseudoscalar"] + argv) == 2
+    def test_pseudoscalar_answers(self, argv, tmp_path, capsys):
+        """A point and a sweep both hold amplitudes() at their points; a sigma_y
+        step has no Klein zone."""
+        path = tmp_path / "out.csv"
+        assert main(["scatter", "--E", "2", "--coupling", "pseudoscalar",
+                     "--output", str(path)] + argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "pseudoscalar" in captured.err
+        assert captured.err == ""
+        lines = path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == (6 if argv else 2)
+        for line in lines[1:]:
+            row = dict(zip(CSV_HEADER.split(","), line.split(",")))
+            res = amplitudes(ScatteringQuery(E=2.0, V0=float(row["V0"]), m0=1.0,
+                                             coupling="pseudoscalar"))
+            assert (float(row["r"]), float(row["t"])) == (res.r, res.t)
+            assert row["regime"] == res.regime.value != "klein_zone"
+        if not argv:  # the point's text line
+            assert captured.out.endswith(f"r={res.r:.12g} t={res.t:.12g} regime=transmission\n")
 
     def test_closed_form_overflow_exits_2(self, capsys):
         """E^2 overflows past about 1.34e154, leaving r and t NaN: refused,
@@ -271,6 +285,7 @@ class TestScatterSweep:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.usefixtures("watchdog")
     def test_failing_forked_render_leaves_no_output(self, tmp_path, monkeypatch, capsys):
         """A render that raises on the forked child's rows raises as one
         process would, with no output file, no temp file and no child left."""
@@ -295,6 +310,7 @@ class TestScatterSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.usefixtures("watchdog")
     def test_failed_forked_child_gives_the_one_process_output(self, tmp_path, monkeypatch,
                                                               capsys):
         """A child killed before it hands back its rows leaves them to the
@@ -400,11 +416,11 @@ class TestEvolve:
         assert first["current"] > 0.01
 
     @pytest.mark.parametrize("argv", [
-        ["--m0", "0"], ["--coupling", "pseudoscalar"], ["--m0", "0", "--coupling", "scalar"],
+        ["--m0", "0"], ["--m0", "0", "--coupling", "scalar"],
     ])
     def test_summary_without_closed_form_omits_the_reference(self, argv, tmp_path, capsys):
-        """A massless or pseudoscalar run has no closed-form reference: it
-        still runs and writes its records, and the summary has no analytic_*."""
+        """A massless run has no closed-form reference: it still runs and
+        writes its records, and the summary has no analytic_*."""
         path = tmp_path / "obs.csv"
         assert main(["evolve", "--grid-n", "256", "--steps", "10", "--output", str(path)]
                     + argv) == 0
@@ -412,6 +428,22 @@ class TestEvolve:
         assert set(summary) == {"p_left_final", "p_right_final", "norm_drift"}
         assert summary["norm_drift"] <= 1e-12
         assert len(path.read_text().splitlines()) == 3  # header + records at 0, 10
+
+    @pytest.mark.parametrize("V0", ["0.5", "3"], ids=["transmission", "evanescent"])
+    def test_pseudoscalar_packet_follows_the_closed_form(self, V0, capsys):
+        """The CLI-default sigma_y run carries the closed-form reference, and
+        its packet transmits what the closed form says: within 1e-3 of t at
+        V0 = 0.5 (1.5e-4 measured), nothing at V0 = 3, where E^2 < m0^2 + V0^2
+        (5e-14 measured)."""
+        assert main(["evolve", "--coupling", "pseudoscalar", "--V0", V0]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        if V0 == "3":
+            assert summary["analytic_t"] == 0.0
+            assert summary["p_right_final"] <= 1e-10
+        else:
+            assert abs(summary["p_right_final"] - summary["analytic_t"]) <= 1e-3
 
     @pytest.mark.parametrize("argv", [
         ["--V0", "0.5", "--Ec", "2", "--steps", "6000"],  # forward front at 215 > 100
@@ -649,21 +681,34 @@ def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, capsys):
         dict.fromkeys(names, 0o644)
 
 
-@pytest.mark.parametrize("argv", [
-    ["scatter", "--E", "2", "--sweep", "V0:0:4:3", "--output"],
-    ["scatter", "--E", "1.5", "--V0", "3", "--format", "json", "--output"],
-    ["evolve", "--grid-n", "256", "--steps", "10", "--output"],
-    ["algebra", "--n", "3", "--emit-json"],
-], ids=["sweep", "point", "evolve", "algebra"])
-def test_an_artifact_that_cannot_be_opened_names_the_users_path(argv, tmp_path, capsys):
+_ARTIFACT_ARGVS = {
+    "sweep": ["scatter", "--E", "2", "--sweep", "V0:0:4:3", "--output"],
+    "point": ["scatter", "--E", "1.5", "--V0", "3", "--format", "json", "--output"],
+    "evolve": ["evolve", "--grid-n", "256", "--steps", "10", "--output"],
+    "algebra": ["algebra", "--n", "3", "--emit-json"],
+}
+
+
+@pytest.mark.parametrize("command,into", [
+    *((command, "missing") for command in _ARTIFACT_ARGVS),
+    *((command, "directory") for command in _ARTIFACT_ARGVS),
+], ids=[*_ARTIFACT_ARGVS, *(f"{command}-directory" for command in _ARTIFACT_ARGVS)])
+def test_an_artifact_that_cannot_be_opened_names_the_users_path(command, into, tmp_path,
+                                                                capsys):
     """The error names the path given on the command line, not the temp
-    file written beside it."""
-    path = tmp_path / "missing" / "out.file"
-    assert main(argv + [str(path)]) == 2
+    file written beside it: whether the temp file cannot be opened (its
+    directory is missing) or cannot replace the path (an existing
+    directory).  Nothing is left beside the path."""
+    missing = into == "missing"
+    path = tmp_path / "missing" / "out.file" if missing else tmp_path / "out.file"
+    if not missing:
+        path.mkdir()
+    assert main(_ARTIFACT_ARGVS[command] + [str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 2] ") and f"'{path}'" in err
+    code = errno.ENOENT if missing else errno.EISDIR
+    assert err.startswith(f"error: [Errno {code}] ") and f"'{path}'" in err
     assert ".tmp-diracstep" not in err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.rglob("*")) == ([] if missing else [path])
 
 
 class TestAlgebra:

@@ -104,10 +104,6 @@ class TestTransmittedFactor:
         assert b.real == 0.0
         assert np.isclose(b.imag, math.sqrt(13.75) / 5.5, rtol=1e-15, atol=0)
 
-    def test_rejects_pseudoscalar(self):
-        with pytest.raises(ValueError, match="pseudoscalar"):
-            transmitted_factor(2.0, 1.0, 1.0, Coupling.PSEUDOSCALAR)
-
     def test_rejects_below_threshold(self):
         with pytest.raises(ValueError):
             transmitted_factor(0.9, 1.0, 1.0, Coupling.VECTOR)
@@ -124,7 +120,7 @@ class TestTransmittedFactor:
         with pytest.raises(ValueError, match="overflows"):
             transmitted_factor(1e200, 0.5, 1.0, "vector")
 
-    @pytest.mark.parametrize("coupling", ["vector", "scalar"])
+    @pytest.mark.parametrize("coupling", ["vector", "scalar", "pseudoscalar"])
     def test_refuses_where_amplitudes_refuses(self, coupling):
         """On every triple of SPECIAL_VALUES: the same exception and message
         where amplitudes() refuses, and its b bit for bit where it answers."""
@@ -242,7 +238,7 @@ class TestAmplitudes:
             m0 = rng.uniform(0.2, 2.0)
             e = m0 * (1.0 + rng.uniform(0.01, 8.0))
             v0 = rng.uniform(-5.0 * m0, 10.0 * m0)
-            coupling = Coupling.VECTOR if rng.random() < 0.5 else Coupling.SCALAR
+            coupling = list(Coupling)[rng.integers(3)]
             try:
                 res = amplitudes(ScatteringQuery(E=e, V0=v0, m0=m0, coupling=coupling))
             except SingularConfigurationError:
@@ -340,15 +336,80 @@ class TestRegime:
                 assert (res.r > 1.0 + 1e-12) == (res.regime is Regime.KLEIN_ZONE)
 
 
-@pytest.mark.parametrize("refuse", [
-    amplitudes,
-    lambda q: SweepTable(q.E, q.V0, q.m0, q.coupling),
-    lambda q: sweep(q, "V0", 0.0, 4.0, 5),
-], ids=["amplitudes", "SweepTable", "sweep"])
-def test_pseudoscalar_has_no_closed_form(refuse):
-    """transmitted_factor refuses it too (tested above)."""
-    with pytest.raises(ValueError, match="pseudoscalar"):
-        refuse(ScatteringQuery(E=2.0, V0=1.0, coupling="pseudoscalar"))
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]])
+_SZ = np.diag([1.0 + 0j, -1.0])
+
+
+def _matched_coefficients(E, V0, m0, gamma):
+    """r and t of a step with coupling matrix gamma, from numpy eigenvectors
+    matched at x = 0, without the closed form.
+
+    At energy E the Dirac equation -i sx psi' + (m0 sz + V gamma) psi = E psi
+    reads psi' = M psi.  A mode exp(lam x) u of M carries the flux u^H sx u:
+    on the left the incident mode carries positive flux and the reflected one
+    negative; on the right the transmitted mode is the one with positive flux
+    when lam is imaginary, else the one that decays (Re lam < 0).
+    """
+    def modes(V):
+        lam, u = np.linalg.eig(1j * _SX @ (E * np.eye(2) - m0 * _SZ - V * gamma))
+        return lam, u, np.einsum("ij,ik,kj->j", u.conj(), _SX, u).real
+
+    _, u, flux = modes(0.0)
+    incident, reflected = (0, 1) if flux[0] > 0 else (1, 0)
+    lam, v, flux_right = modes(V0)
+    propagating = abs(lam[0].real) < abs(lam[0].imag)
+    out = int(np.argmax(flux_right) if propagating else np.argmin(lam.real))
+    R, T = np.linalg.solve(np.column_stack([u[:, reflected], -v[:, out]]), -u[:, incident])
+    r = abs(R) ** 2 * -flux[reflected] / flux[incident]
+    t = abs(T) ** 2 * flux_right[out] / flux[incident] if propagating else 0.0
+    return r, t
+
+
+class TestPseudoscalar:
+    """The sigma_y step: b = (sqrt(E^2 - m0^2 - V0^2) + i V0) / (E + m0)."""
+
+    def test_hand_value(self):
+        """At (E, V0, m0) = (2, 0.5, 1), a = 1/sqrt(3) and
+        b = (sqrt(11)/2 + i/2)/3, so r = (6 - sqrt(33))/(6 + sqrt(33))."""
+        res = amplitudes(ScatteringQuery(E=2.0, V0=0.5, m0=1.0, coupling="pseudoscalar"))
+        r = (6 - math.sqrt(33)) / (6 + math.sqrt(33))
+        assert res.r == 0.02174941384788537
+        assert abs(res.r - r) <= 1e-16 and abs(res.t - (1 - r)) <= 1e-15
+        assert res.regime is Regime.TRANSMISSION
+
+    def test_eigenvector_matcher_agrees(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 1000:
+            m0 = rng.uniform(0.2, 2.0)
+            E = m0 * (1.0 + rng.uniform(0.01, 6.0))
+            V0 = rng.uniform(-8.0, 8.0)
+            if abs(E * E - m0 * m0 - V0 * V0) < 1e-3:
+                continue  # the matcher's eigenvectors degenerate at threshold
+            checked += 1
+            res = amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling="pseudoscalar"))
+            r, t = _matched_coefficients(E, V0, m0, _SY)
+            assert abs(res.r - r) <= 1e-13 and abs(res.t - t) <= 1e-13, (E, V0, m0)
+
+    def test_evanescent_iff_below_the_sigma_y_threshold(self):
+        """Evanescent iff E^2 <= m0^2 + V0^2, with r = 1 and t = 0; never the
+        Klein zone.  (5, +-4, 3) sits exactly on the threshold."""
+        rng = np.random.default_rng(24)
+        points = [(5.0, 4.0, 3.0), (5.0, -4.0, 3.0)]
+        while len(points) < 3000:
+            m0 = rng.uniform(0.2, 2.0)
+            point = (m0 * (1.0 + rng.uniform(0.01, 6.0)), rng.uniform(-12.0, 12.0), m0)
+            if abs(point[0] ** 2 - m0 ** 2 - point[1] ** 2) > 1e-9:
+                points.append(point)
+        for E, V0, m0 in points:
+            res = amplitudes(ScatteringQuery(E=E, V0=V0, m0=m0, coupling="pseudoscalar"))
+            assert res.regime is not Regime.KLEIN_ZONE
+            if E * E <= m0 * m0 + V0 * V0:
+                assert res.regime is Regime.EVANESCENT
+                assert res.t == 0.0 and abs(res.r - 1.0) <= 1e-15
+            else:
+                assert res.regime is Regime.TRANSMISSION
 
 
 class TestSweep:
@@ -560,7 +621,7 @@ class TestSweepMatchesScalarPath:
         else:
             assert expected in row.error
 
-    @pytest.mark.parametrize("coupling", ["vector", "scalar"])
+    @pytest.mark.parametrize("coupling", ["vector", "scalar", "pseudoscalar"])
     def test_error_rows_are_where_amplitudes_refuses(self, coupling):
         """The kernel's four-term validity rule, checked on every triple of
         SPECIAL_VALUES."""
@@ -580,7 +641,7 @@ class TestSweepMatchesScalarPath:
         E=st.floats(allow_nan=False, allow_infinity=False),
         V0=st.floats(allow_nan=False, allow_infinity=False),
         m0=st.floats(allow_nan=False, allow_infinity=False),
-        coupling=st.sampled_from(["vector", "scalar"]),
+        coupling=st.sampled_from(["vector", "scalar", "pseudoscalar"]),
     )
     def test_random_finite_point_is_bitwise_amplitudes(self, E, V0, m0, coupling):
         (row,) = SweepTable(E, V0, m0, coupling)
@@ -588,7 +649,7 @@ class TestSweepMatchesScalarPath:
 
     @given(
         E=st.floats(0.0, 10.0), V0=st.floats(-10.0, 10.0), m0=st.floats(0.0, 3.0),
-        coupling=st.sampled_from(["vector", "scalar"]),
+        coupling=st.sampled_from(["vector", "scalar", "pseudoscalar"]),
     )
     def test_random_physical_point_is_bitwise_amplitudes(self, E, V0, m0, coupling):
         (row,) = SweepTable(E, V0, m0, coupling)
@@ -726,42 +787,9 @@ def _render_in_process(writer, table, monkeypatch) -> str:
     return buf.getvalue()
 
 
+@pytest.mark.usefixtures("watchdog")
 class TestForkedWriters:
     F = _FORK_ROWS
-
-    @pytest.fixture(autouse=True)
-    def watchdog(self, monkeypatch):
-        """Fail a test still running after a minute, such as a writer stuck in
-        os.waitpid on a child that never exits, instead of hanging the run.
-        The SIGALRM handler kills and reaps the children not yet reaped, which
-        would keep the run's output pipes open, and its exception interrupts
-        the blocking call.  A forked child does not inherit the timer."""
-        children = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            children.append(pid)
-            return pid
-
-        def expire(signum, frame):
-            for pid in children:
-                try:
-                    if os.waitpid(pid, os.WNOHANG) == (0, 0):
-                        os.kill(pid, signal.SIGKILL)
-                        os.waitpid(pid, 0)
-                except ChildProcessError:  # reaped already
-                    pass
-            raise TimeoutError("forked writer test still running after 60 s")
-
-        monkeypatch.setattr(os, "fork", fork)
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 60)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("rows,cpus,ranges", [
         (1, 64, ["0:1"]),
