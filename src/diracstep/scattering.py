@@ -27,9 +27,11 @@ the amplitudes
 
 and the measurable flux ratios (coefficients)
 
-    r = |R|^2,   t = Re(b)/a * |T|^2,
+    r = |R|^2,   t = Re(b)/a * |T|^2 = 4a Re(b)/|a + b|^2,
 
-which satisfy r + t = 1 whenever the transmitted wave carries flux.
+which satisfy r + t = 1 whenever the transmitted wave carries flux.  As
+a > 0, t has the sign of Re b, which names the regime: transmission iff
+Re b > 0, evanescent iff Re b = 0 (r = 1, t = 0), Klein zone iff Re b < 0.
 
 Sign conventions are deliberate.  For V0 > E + m0 (vector coupling) the
 radicand is positive but the denominator is negative, so b < 0: the
@@ -41,9 +43,9 @@ the Klein zone does not exist there.  Nor under pseudoscalar coupling,
 whose denominator is E + m0 > 0: that step is evanescent iff
 E^2 <= m0^2 + V0^2, with r = 1 and t = 0, and transmits otherwise.
 
-A point has an answer iff E, V0 and m0 are finite, E > m0 > 0, and r and
-t come out finite; amplitudes() refuses any other point with ValueError,
-and a SweepTable marks it as an error row.
+A point has an answer iff E, V0 and m0 are finite, E > m0 > 0, a > 0,
+and r and t come out finite; amplitudes() refuses any other point with
+ValueError, and a SweepTable marks it as an error row.
 
 sweep_to_csv and sweep_to_json share one row path, _render_rows, and give
 it only their format: number text, row layout, error-row text and
@@ -203,19 +205,30 @@ def transmitted_factor(E: float, V0: float, m0: float, coupling: Coupling) -> co
     return amplitudes(ScatteringQuery(E, V0, m0, coupling)).b
 
 
-def _regime(omega: float, mass: float, nu: float) -> Regime:
-    # the radicand and denominator of _step_factor, so the label always
-    # agrees with the branch b took
-    if omega * omega - mass * mass - nu * nu > 0.0:
-        return Regime.TRANSMISSION if omega + mass > 0.0 else Regime.KLEIN_ZONE
-    return Regime.EVANESCENT
+def _flux(a, re_b, im_b):
+    """re R, im R, re T, im T, r and t for a > 0 and b = re_b + i im_b, the
+    one formula of amplitudes() and the SweepTable kernel.  Every quantity
+    is scaled by sigma = |a + Re b| + |Im b| so that no square overflows.
+    Only + - * / and abs occur, so floats and float64 arrays give the same
+    bits; "0.0 -" keeps a zero imaginary part +0.0, and Re b = 0 gives
+    r = 1 and t = 0 exactly."""
+    x = a + re_b
+    sigma = abs(x) + abs(im_b)
+    s = x / sigma
+    d = (a - re_b) / sigma
+    y = im_b / sigma
+    u = a / sigma
+    q = s * s + y * y
+    im = 0.0 - 2 * u * y / q
+    return ((d * s - y * y) / q, im, 2 * u * s / q, im, (d * d + y * y) / q,
+            4 * u * (re_b / sigma) / q)
 
 
 def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     """Solve one query: factors, amplitudes R and T, coefficients, regime.
 
-    R = (a - b)/(a + b), T = 2a/(a + b); the continuity identity 1 + R = T
-    holds by construction.  Raises SingularConfigurationError at the
+    R = (a - b)/(a + b), T = 2a/(a + b), r and t come from _flux, and the
+    regime is the sign of Re b.  Raises SingularConfigurationError at the
     isolated degenerate points where a + b = 0 or b is a 0/0 limit, and
     ValueError where a is not positive (E and m0 so small that it underflows
     to 0, or so large that E^2 and m0^2 overflow) or the closed form
@@ -234,17 +247,16 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
         )
     if not a > 0:
         raise ValueError(f"incident factor must be positive, got a={a}")
-    R = (a - b) / (a + b)
-    T = 2 * a / (a + b)
-    # flux ratios: the spinor densities cancel and only Re(b)/a survives in t
-    r = R.real * R.real + R.imag * R.imag
-    t = (b.real / a) * (T.real * T.real + T.imag * T.imag)
+    re_R, im_R, re_T, im_T, r, t = _flux(a, b.real, b.imag)
     if not (math.isfinite(r) and math.isfinite(t)):
         raise ValueError(
             f"closed form overflows at E={E}, V0={V0}, m0={m0}: "
             f"r={r} and t={t} are not finite"
         )
-    return ScatteringResult(a=a, b=b, R=R, T=T, r=r, t=t, regime=_regime(omega, mass, nu))
+    regime = (Regime.TRANSMISSION if b.real > 0.0
+              else Regime.KLEIN_ZONE if b.real < 0.0 else Regime.EVANESCENT)
+    return ScatteringResult(a=a, b=b, R=complex(re_R, im_R), T=complex(re_T, im_T), r=r, t=t,
+                            regime=regime)
 
 
 @dataclass(frozen=True)
@@ -277,32 +289,18 @@ _FORK_ROWS = 4096
 _CGROUP = "/sys/fs/cgroup"
 
 
-def _quotient(ar, ai, br, bi):
-    """Elementwise (ar + i ai) / (br + i bi) in CPython's complex arithmetic.
-
-    numpy's complex division rounds differently from Python's in the last
-    bit, so this repeats CPython's Smith division (_Py_c_quot) branch for
-    branch in real arithmetic; every quotient is then bitwise the one the
-    scalar path computes.
-    """
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
 class SweepTable(Sequence[SweepRow]):
     """Closed-form results over a set of points, one numpy array per column.
 
     The constructor evaluates the whole closed form at once: E, V0 and m0
     must broadcast to one 1-D grid, and ``values`` maps each of
     VALUE_COLUMNS to a float64 array that is bitwise what amplitudes()
-    returns at that point.  ``regime`` indexes (transmission, evanescent,
-    klein_zone); ``error`` marks the points amplitudes() refuses: a point is
-    valid iff m0 > 0, E > m0 and r and t come out finite.  An error row's
-    value columns are meaningless; a valid row's are all finite.
+    returns at that point: R, T, r and t come from _flux, and only b's branch
+    (np.where for if) and masking for raising differ.  ``regime`` indexes
+    (transmission, evanescent, klein_zone) by the sign of re_b; ``error``
+    marks the points amplitudes() refuses: a point is valid iff m0 > 0,
+    E > m0, a > 0 and r and t come out finite.  An error row's values and
+    regime mean nothing; a valid row's values are all finite.
 
     The table is also a sequence of SweepRow, in grid order.  Rows are
     built on each access and never kept, and an error row's message is
@@ -324,17 +322,11 @@ class SweepTable(Sequence[SweepRow]):
             a = np.sqrt(E * E - m0 * m0) / (E + m0)
             re_b = np.where(propagating, np.sqrt(radicand) / denominator, 0.0)
             im_b = np.where(propagating, 0.0, np.sqrt(-radicand) / denominator) + nu / denominator
-            # Python's float-complex arithmetic: a - b = (a - re_b, 0.0 - im_b)
-            # and a + b = (a + re_b, 0.0 + im_b); "0.0 -" keeps the signed zeros.
-            re_sum, im_sum = a + re_b, 0.0 + im_b
-            re_R, im_R = _quotient(a - re_b, 0.0 - im_b, re_sum, im_sum)
-            re_T, im_T = _quotient(2 * a, 0.0, re_sum, im_sum)
-            r = re_R * re_R + im_R * im_R
-            t = (re_b / a) * (re_T * re_T + im_T * im_T)
-            # NaN/inf input, the 0/0 point, a = 0 and a + b = 0 all leave r or t NaN
-            valid = (m0 > 0.0) & (E > m0) & np.isfinite(r) & np.isfinite(t)
+            re_R, im_R, re_T, im_T, r, t = _flux(a, re_b, im_b)
+            # NaN/inf input, the 0/0 point and a + b = 0 all leave r or t NaN
+            valid = (m0 > 0.0) & (E > m0) & (a > 0.0) & np.isfinite(r) & np.isfinite(t)
         self.values = dict(zip(VALUE_COLUMNS, (a, re_b, im_b, re_R, im_R, re_T, im_T, r, t)))
-        self.regime = np.where(radicand > 0.0, np.where(denominator > 0.0, 0, 2), 1)
+        self.regime = np.where(re_b > 0.0, 0, np.where(re_b < 0.0, 2, 1))
         self.error = ~valid
 
     def __len__(self) -> int:

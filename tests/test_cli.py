@@ -285,8 +285,8 @@ class TestScatterSweep:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.usefixtures("watchdog")
-    def test_failing_forked_render_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+    def test_failing_forked_render_leaves_no_output(self, tmp_path, monkeypatch, capsys,
+                                                    watchdog):
         """A render that raises on the forked child's rows raises as one
         process would, with no output file, no temp file and no child left."""
         def message(self, E, V0, m0):
@@ -295,24 +295,20 @@ class TestScatterSweep:
         monkeypatch.setattr(scattering.SweepTable, "_error_message", message)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(scattering, "_CGROUP", "/nonexistent")
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
         path = tmp_path / "sweep.json"
         rows = 2 * scattering._FORK_ROWS + 1
         # the 0/0 row at V0 = 2.5 is in the child's half
         with pytest.raises(RuntimeError, match="^render failed$"):
             main(["scatter", "--E", "1.5", "--sweep", f"V0:0:4:{rows}", "--format", "json",
                   "--output", str(path)])
-        assert len(forks) == 1
+        assert len(watchdog) == 1
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.usefixtures("watchdog")
     def test_failed_forked_child_gives_the_one_process_output(self, tmp_path, monkeypatch,
-                                                              capsys):
+                                                              capsys, watchdog):
         """A child killed before it hands back its rows leaves them to the
         command, whose file is the one a single process writes."""
         rows = 2 * scattering._FORK_ROWS + 1
@@ -332,11 +328,8 @@ class TestScatterSweep:
         monkeypatch.setattr(scattering.SweepTable, "_error_message", message)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(scattering, "_CGROUP", "/nonexistent")
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
         assert main(argv + [str(tmp_path / "forked.json")]) == 0
-        assert len(forks) == 1
+        assert len(watchdog) == 1
         assert capsys.readouterr() == ("", "")
         assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "one.json").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.json", "one.json"]

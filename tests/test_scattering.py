@@ -214,10 +214,14 @@ class TestAmplitudes:
             assert res.regime is Regime.TRANSMISSION
 
     def test_evanescent_unimodular_reflection(self):
-        res = amplitudes(ScatteringQuery(E=1.5, V0=1.0, m0=1.0))
-        assert abs(abs(res.R) - 1.0) <= 1e-14
-        assert res.t == 0.0
-        assert abs(res.r - 1.0) <= 1e-14
+        """r is exactly 1 below threshold, in every coupling."""
+        for E, V0, coupling in [(1.5, 1.0, "vector"), (1.25, 1.0, "vector"),
+                                (1.25, 4.0, "scalar"), (1.1, 1.5, "pseudoscalar")]:
+            res = amplitudes(ScatteringQuery(E=E, V0=V0, m0=1.0, coupling=coupling))
+            assert res.regime is Regime.EVANESCENT
+            assert abs(abs(res.R) - 1.0) <= 1e-14
+            assert res.t == 0.0
+            assert res.r == 1.0
 
     def test_continuity_identity(self):
         rng = np.random.default_rng(6)
@@ -247,7 +251,7 @@ class TestAmplitudes:
                 assert abs(res.r + res.t - 1.0) <= 1e-12
             else:
                 assert res.t == 0.0
-                assert abs(res.r - 1.0) <= 1e-12
+                assert res.r == 1.0
 
     def test_singular_configuration_raises(self):
         with pytest.raises(SingularConfigurationError):
@@ -407,7 +411,7 @@ class TestPseudoscalar:
             assert res.regime is not Regime.KLEIN_ZONE
             if E * E <= m0 * m0 + V0 * V0:
                 assert res.regime is Regime.EVANESCENT
-                assert res.t == 0.0 and abs(res.r - 1.0) <= 1e-15
+                assert res.t == 0.0 and res.r == 1.0
             else:
                 assert res.regime is Regime.TRANSMISSION
 
@@ -600,6 +604,10 @@ class TestSweepMatchesScalarPath:
             assert (row.E, row.V0, row.m0) == (expected["E"], expected["V0"], expected["m0"])
             assert row == rows[i]
             _assert_row_is_scalar_path(row)
+            if row.result is not None:
+                # a zero imaginary part is +0.0, as im_b's is
+                assert float.hex(row.result.R.imag) != "-0x0.0p+0", row
+                assert float.hex(row.result.T.imag) != "-0x0.0p+0", row
 
     @pytest.mark.parametrize("sweep_index,point,expected", [
         (0, 0.375, Regime.TRANSMISSION), (0, 0.5, Regime.EVANESCENT),
@@ -744,19 +752,6 @@ def _grant_cpus(monkeypatch, cpus, cgroup="/nonexistent"):
     monkeypatch.setattr(scattering, "_CGROUP", str(cgroup))
 
 
-def _count_forks(monkeypatch) -> list:
-    """A list that gains one entry per os.fork the writers make."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -800,34 +795,33 @@ class TestForkedWriters:
         (8 * F + 1, 64, [f"0:{4 * F}", f"{4 * F}:{8 * F + 1}"]),  # never more than one child
     ])
     def test_halves_keep_the_fork_minimum_and_join_in_order(self, rows, cpus, ranges,
-                                                             monkeypatch):
+                                                             monkeypatch, watchdog):
         _grant_cpus(monkeypatch, cpus)
-        forks = _count_forks(monkeypatch)
         buf = io.StringIO()
         _write_rows(buf, rows, lambda lo, hi: f"{lo}:{hi}", "[", "|", "]")
         assert buf.getvalue() == "[" + "|".join(ranges) + "]"
-        assert len(forks) == len(ranges) - 1
+        assert len(watchdog) == len(ranges) - 1
         _assert_no_child_left()
 
     @pytest.mark.parametrize("writer", [sweep_to_csv, sweep_to_json])
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_forked_halves_write_the_in_process_bytes(self, writer, cpus, monkeypatch):
+    def test_forked_halves_write_the_in_process_bytes(self, writer, cpus, monkeypatch,
+                                                      watchdog):
         """Error rows, a NaN coordinate and the 0/0 row on the halves'
         boundary come out as one in-process pass writes them."""
         table = _boundary_table()
         expected = _render_in_process(writer, table, monkeypatch)
         _grant_cpus(monkeypatch, cpus)
-        forks = _count_forks(monkeypatch)
         buf = io.StringIO()
         writer(table, buf)
-        assert len(forks) == 1
+        assert len(watchdog) == 1
         assert buf.getvalue() == expected
         _assert_no_child_left()
         if writer is sweep_to_json:
             rows = [_row_dict(row) for row in table]
             assert buf.getvalue() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
-    def test_a_render_that_raises_raises_here_as_in_process(self, monkeypatch):
+    def test_a_render_that_raises_raises_here_as_in_process(self, monkeypatch, watchdog):
         """A render that fails on the child's rows fails again when this
         process renders them: the caller gets the in-process exception, nothing
         is written and no child is left."""
@@ -837,7 +831,6 @@ class TestForkedWriters:
             raise RuntimeError("no message")
 
         monkeypatch.setattr(SweepTable, "_error_message", message)
-        forks = _count_forks(monkeypatch)
         for cpus in (1, 2):
             _grant_cpus(monkeypatch, cpus)
             buf = io.StringIO()
@@ -845,14 +838,15 @@ class TestForkedWriters:
                 sweep_to_json(table, buf)
             assert buf.getvalue() == ""
             _assert_no_child_left()
-        assert len(forks) == 1
+        assert len(watchdog) == 1
 
     @pytest.mark.parametrize("fail", [
         lambda: 1 / 0,
         lambda: os._exit(3),
         lambda: os.kill(os.getpid(), signal.SIGKILL),
     ], ids=["raises", "exit-code-3", "killed"])
-    def test_rows_a_child_does_not_hand_back_are_rendered_here(self, fail, monkeypatch):
+    def test_rows_a_child_does_not_hand_back_are_rendered_here(self, fail, monkeypatch,
+                                                                watchdog):
         parent = os.getpid()
         table = _boundary_table()
         expected = _render_in_process(sweep_to_json, table, monkeypatch)
@@ -865,10 +859,9 @@ class TestForkedWriters:
 
         monkeypatch.setattr(SweepTable, "_error_message", message)
         _grant_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
         buf = io.StringIO()
         sweep_to_json(table, buf)  # the JSON writer asks the child's error rows for messages
-        assert len(forks) == 1
+        assert len(watchdog) == 1
         assert buf.getvalue() == expected
         _assert_no_child_left()
 
@@ -911,24 +904,22 @@ class TestForkedWriters:
     ], ids=["v2-none", "v2-2", "v2-1.5", "v2-1", "v1-none", "v1-0.5", "v1-4", "garbled",
             "no-files"])
     def test_a_cgroup_quota_under_two_cpus_keeps_the_writer_in_process(
-            self, files, forks, tmp_path, monkeypatch):
+            self, files, forks, tmp_path, monkeypatch, watchdog):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_text(text)
         _grant_cpus(monkeypatch, 8, cgroup=tmp_path)
-        made = _count_forks(monkeypatch)
         buf = io.StringIO()
         _write_rows(buf, 2 * _FORK_ROWS, lambda lo, hi: f"{lo}:{hi}", "", "|", "")
-        assert len(made) == forks
+        assert len(watchdog) == forks
         assert buf.getvalue() == (f"0:{_FORK_ROWS}|{_FORK_ROWS}:{2 * _FORK_ROWS}" if forks
                                   else f"0:{2 * _FORK_ROWS}")
         _assert_no_child_left()
 
-    def test_a_second_thread_keeps_the_writer_in_process(self, monkeypatch):
+    def test_a_second_thread_keeps_the_writer_in_process(self, monkeypatch, watchdog):
         table = _boundary_table()
         expected = _render_in_process(sweep_to_csv, table, monkeypatch)
         _grant_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(10,))
         thread.start()
@@ -939,5 +930,5 @@ class TestForkedWriters:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert forks == []
+        assert watchdog == []
         assert buf.getvalue() == expected
