@@ -11,7 +11,8 @@ table, a single point included, as a list of rows.  A --format the command
 would not write is refused before anything is printed: svg for a single
 point, and json (or, for evolve, svg) without --output, where stdout holds
 the point's text line or the summary.  Every artifact streams into a temp
-file that replaces its path only when the writer finishes.
+file that replaces the file its path resolves to only when the writer
+finishes; a path to a FIFO or a device is written straight through.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
 verification), 2 invalid parameters (non-finite values included).
@@ -142,15 +143,21 @@ def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
 
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[IO[str]]:
-    """The stream an artifact is written to: stdout when path is None, else
-    a temp file beside path that replaces it once the writer finishes and
-    is removed if the writer raises.  The file gets the mode a plain open
-    gives, 0o666 less the umask."""
+    """The stream an artifact is written to: stdout when path is None; path
+    itself, written straight through, when it names something other than a
+    regular file (a FIFO, a device); else a temp file beside the file path
+    resolves to, which replaces that file once the writer finishes and is
+    removed if the writer raises, so a symlink stays a link.  A new file
+    gets the mode a plain open gives, 0o666 less the umask."""
     if path is None:
         yield sys.stdout  # looked up now: callers may have redirected it
         return
-    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
-                            f".tmp-diracstep-{os.urandom(6).hex()}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:  # a directory fails here, with its own path
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp_path = os.path.join(os.path.dirname(target), f".tmp-diracstep-{os.urandom(6).hex()}")
     try:
         fh = open(tmp_path, "x")
     except OSError as exc:  # the temp file's name means nothing to the user
@@ -159,8 +166,8 @@ def _output(path: str | None) -> Iterator[IO[str]]:
         with fh:
             yield fh
         try:
-            os.replace(tmp_path, path)
-        except OSError as exc:  # e.g. path is a directory: name it, not the temp file
+            os.replace(tmp_path, target)
+        except OSError as exc:  # name the user's path, not the temp file
             raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp_path)

@@ -15,10 +15,11 @@ Every substep is therefore unitary and the norm is conserved to roundoff;
 the splitting error is O(dt^2) in observables.  Spatial derivatives are
 spectral (FFT), so there is no fermion doubling.
 
-Between record points the two adjacent half-kicks of consecutive steps
-are fused into one full kick, so a run of n steps costs n kicks, not 2n;
-every record point and the final step end on a trailing half-kick, so
-recorded states are the Strang states to roundoff.
+Between the steps the run reads (records, band checks and the final
+step) the two adjacent half-kicks of consecutive steps are fused into one
+full kick, so a run of n steps costs n kicks plus one per reading, not 2n;
+every reading ends on a trailing half-kick, so every field read is the
+Strang state to roundoff.
 
 When the potential factor is one number at every grid point and commutes
 with H0 (a zero potential under any coupling, or a vector potential that is
@@ -368,6 +369,9 @@ def evolve(
     and with an UnresolvedWarning if the energies E of the initial
     spectrum allow k >= pi/dx (k <= E, and k <= |E - V0| past a vector
     step once the step band held more than 1e-4).
+
+    Every field the run reads, at a record point or a band reading, is the
+    Strang state at that step.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -406,11 +410,10 @@ def evolve(
         # the next band check, record point or final step
         step = min(n_steps, (step // check_every + 1) * check_every,
                    (step // record_every + 1) * record_every)
-        record = not step % record_every or step == n_steps
-        psi = advance(step, record)
+        psi = advance(step)
         if not step % check_every or step == n_steps:
             peak = np.maximum(peak, band_probabilities(psi))
-        if not record:
+        if step % record_every and step != n_steps:
             continue
         if not np.isfinite(psi).all():
             raise FloatingPointError(f"non-finite field values detected by step {step}")
@@ -422,11 +425,9 @@ def evolve(
     return snapshot, records
 
 
-# An advance maps (step, record) to the field at that step, for steps that
-# increase from call to call.  With record true the field is the state at
-# that step; otherwise it may still lack a kick, which acts per point and
-# leaves the density, and so the band readings, as they are.
-_Advance = Callable[[int, bool], np.ndarray]
+# An advance maps a step to the Strang state at that step, for steps that
+# increase from call to call.
+_Advance = Callable[[int], np.ndarray]
 
 
 def _strang_steps(state: WavePacketState, profile: PotentialProfile, dt: float) -> _Advance:
@@ -435,20 +436,18 @@ def _strang_steps(state: WavePacketState, profile: PotentialProfile, dt: float) 
     half_kick = _kick_factor(profile, grid, 0.5 * dt)
     kick = _kick_factor(profile, grid, dt)
     free = _free_factor(grid, state.m0, dt)
-    psi, pending, done = np.array(state.psi), half_kick, 0
+    psi, done = np.array(state.psi), 0
 
-    def advance(step: int, record: bool) -> np.ndarray:
-        nonlocal psi, pending, done
-        for _ in range(step - done):
-            _apply(pending, psi)  # a leading half, or a trailing and a leading half fused
-            pending = kick
+    def advance(step: int) -> np.ndarray:
+        nonlocal psi, done
+        for n in range(done, step):
+            # a leading half, then a trailing and a leading half fused
+            _apply(kick if n > done else half_kick, psi)
             psi = np.fft.fft(psi, axis=1)
             _apply(free, psi)
             psi = np.fft.ifft(psi, axis=1)
         done = step
-        if record:
-            _apply(half_kick, psi)  # the trailing half: the Strang state
-            pending = half_kick
+        _apply(half_kick, psi)  # the trailing half: the Strang state
         return psi
 
     return advance
@@ -461,7 +460,7 @@ def _exact_jumps(state: WavePacketState, v: float, dt: float) -> _Advance:
     grid = state.grid
     psi_k = np.fft.fft(state.psi, axis=1)
 
-    def advance(step: int, record: bool) -> np.ndarray:
+    def advance(step: int) -> np.ndarray:
         time = step * dt
         psi = psi_k * np.exp(-1j * (v * time))  # a phase of exactly 1 when v = 0
         _apply(_free_factor(grid, state.m0, time), psi)

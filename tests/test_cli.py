@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import stat
+import threading
 import warnings
 from pathlib import Path
 
@@ -702,6 +703,55 @@ def test_an_artifact_that_cannot_be_opened_names_the_users_path(command, into, t
     assert err.startswith(f"error: [Errno {code}] ") and f"'{path}'" in err
     assert ".tmp-diracstep" not in err
     assert list(tmp_path.rglob("*")) == ([] if missing else [path])
+
+
+_SWEEP_ARGV = ["scatter", "--E", "1.5", "--sweep", "V0:0:4:5"]
+
+
+def _sweep_text(capsys) -> str:
+    assert main(_SWEEP_ARGV) == 0
+    return capsys.readouterr().out
+
+
+class TestOutputThroughLinksAndFifos:
+    """--output writes the file a symlink resolves to and keeps the link,
+    and writes straight through to what is not a regular file."""
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "dangling"])
+    def test_a_symlink_stays_a_link_and_its_target_is_replaced(self, existing, tmp_path,
+                                                               capsys, watchdog):
+        expected = _sweep_text(capsys)
+        folder, link = tmp_path / "sub", tmp_path / "link.csv"
+        target = folder / "target.csv"
+        folder.mkdir()
+        if existing:
+            target.write_text("stale\n")
+            old_inode = target.stat().st_ino
+        link.symlink_to(target)
+        assert main(_SWEEP_ARGV + ["--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == expected
+        if existing:
+            assert target.stat().st_ino != old_inode  # replaced, not rewritten in place
+        assert [p.name for p in folder.iterdir()] == ["target.csv"]
+        assert [p.name for p in tmp_path.iterdir() if p != folder] == ["link.csv"]
+
+    def test_a_fifo_gets_the_bytes_and_stays_a_fifo(self, tmp_path, capsys, watchdog):
+        expected = _sweep_text(capsys)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        held = os.open(fifo, os.O_RDWR)  # a writer, so the read end opens at once
+        received = []
+        with open(fifo) as read_end:
+            reader = threading.Thread(target=lambda: received.append(read_end.read()))
+            reader.start()
+            try:
+                assert main(_SWEEP_ARGV + ["--output", str(fifo)]) == 0
+            finally:
+                os.close(held)  # the reader meets EOF once the CLI has closed too
+                reader.join(timeout=30)
+        assert not reader.is_alive() and received == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe.csv"]
 
 
 class TestAlgebra:
