@@ -15,7 +15,7 @@ anticommutator of every pair of matrices, and the trace.  The +-1
 spectrum needs no check of its own, since a Hermitian M with M^2 = I
 has no other eigenvalues.
 
-Everything here is exact: the recursive tensor-product construction only
+Everything here is exact: the tensor-product construction only
 ever produces entries in {0, +-1, +-i}, so the verification residuals of
 a built representation are exactly zero in floating point.  Such a
 matrix is monomial (one nonzero per row and per column), a permutation
@@ -44,7 +44,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-for _m in (PAULI_X, PAULI_Y, PAULI_Z):
+_PAULI_YZ = np.array([PAULI_Y, PAULI_Z])
+
+for _m in (PAULI_X, PAULI_Y, PAULI_Z, _PAULI_YZ):
     _m.setflags(write=False)
 
 
@@ -115,27 +117,33 @@ def build_representation(n: int) -> DiracRepresentation:
         beta'       = sigma_z (x) I
 
     All entries stay in {0, +-1, +-i}, so the algebra holds exactly.
+
+    The levels are built upward from the base, each as one (m+1, d, d)
+    array, by two broadcast products written through its (m+1, 2, d, 2, d)
+    view: sigma_x times the whole previous level, and (sigma_y, sigma_z)
+    times I.  Each entry is the product P[p, q] * A[k, l] that np.kron
+    forms, signed zeros included.  The last level is the (n+1, dim, dim)
+    block allocated before any level is built, so a size past memory
+    raises MemoryError at once; the block is made read-only and the
+    alphas and beta are its C-contiguous views.
     """
     if n < 1:
         raise ValueError("spatial dimension n must be >= 1")
-    if n == 1:
-        alphas = (PAULI_X.copy(),)
-        beta = PAULI_Z.copy()
-    elif n == 2:
-        alphas = (PAULI_X.copy(), PAULI_Y.copy())
-        beta = PAULI_Z.copy()
-    else:
-        inner = build_representation(n - 2)
-        eye = np.eye(inner.dim, dtype=complex)
-        alphas = tuple(np.kron(PAULI_X, a) for a in inner.alphas) + (
-            np.kron(PAULI_X, inner.beta),
-            np.kron(PAULI_Y, eye),
-        )
-        beta = np.kron(PAULI_Z, eye)
-    for m in alphas:
-        m.setflags(write=False)
-    beta.setflags(write=False)
-    return DiracRepresentation(n=n, dim=beta.shape[0], alphas=alphas, beta=beta)
+    dim = minimal_spinor_dimension(n)
+    block = np.empty((n + 1, dim, dim), dtype=complex)
+    m = 2 - n % 2
+    level = block if m == n else np.empty((m + 1, 2, 2), dtype=complex)
+    level[...] = (PAULI_X, PAULI_Y)[:m] + (PAULI_Z,)
+    while m < n:
+        m, d, inner = m + 2, level.shape[-1], level
+        level = block if m == n else np.empty((m + 1, 2 * d, 2 * d), dtype=complex)
+        # grid[i, p, k, q, l] is entry (k, l) of block (p, q) of matrix i
+        grid = level.reshape(m + 1, 2, d, 2, d)
+        np.multiply(PAULI_X[:, None, :, None], inner[:, None, :, None, :], out=grid[:-2])
+        np.multiply(_PAULI_YZ[:, :, None, :, None], np.eye(d, dtype=complex)[:, None, :],
+                    out=grid[-2:])
+    block.setflags(write=False)
+    return DiracRepresentation(n=n, dim=dim, alphas=tuple(block[:n]), beta=block[n])
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -312,10 +320,12 @@ def _matrix_from_json(name: str, rows: list) -> np.ndarray:
             or len(widths) > 1 or set(map(len, pairs)) - {2}):
         raise ValueError(message)
     try:
-        m = np.array(entries, dtype=float)
+        flat = np.array(entries, dtype=float)
     except OverflowError as exc:  # an integer past the float range
         raise ValueError(message) from exc
-    m = m.view(complex).reshape(len(rows), *widths)
+    # read-only at the buffer that owns the entries, so no view can write them
+    flat.setflags(write=False)
+    m = flat.view(complex).reshape(len(rows), *widths)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
     return m
@@ -355,7 +365,8 @@ def representation_from_json(data: dict) -> DiracRepresentation:
     Anything but an object with integer ``n`` and ``dim``, a list of
     ``alphas`` and matrices of finite [re, im] number pairs raises
     ValueError.  Use :func:`verify_clifford` to check the algebra of an
-    imported set.
+    imported set.  The matrices are read-only down to the buffer that
+    holds their entries, as built ones are.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a representation must be a JSON object, got {type(data).__name__}")
@@ -370,9 +381,6 @@ def representation_from_json(data: dict) -> DiracRepresentation:
         raise ValueError("alphas must be a list of matrices")
     alphas = tuple(_matrix_from_json(f"alpha_{i + 1}", a) for i, a in enumerate(data["alphas"]))
     beta = _matrix_from_json("beta", data["beta"])
-    for m in alphas:
-        m.setflags(write=False)
-    beta.setflags(write=False)
     return DiracRepresentation(n=data["n"], dim=data["dim"], alphas=alphas, beta=beta)
 
 

@@ -15,7 +15,8 @@ file that replaces the file its path resolves to only when the writer
 finishes; a path to a FIFO or a device is written straight through.
 
 Exit codes: 0 success, 1 runtime abort (non-finite field values, failed
-verification), 2 invalid parameters (non-finite values included).
+verification), 2 invalid parameters (non-finite values included, and
+sizes past the memory the process may allocate).
 """
 
 from __future__ import annotations
@@ -346,6 +347,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return runner[args.subcommand](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, such as algebra --n 40
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
         print(f"aborted: {exc}", file=sys.stderr)

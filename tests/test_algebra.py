@@ -88,6 +88,80 @@ class TestBuildRepresentation:
             rep.beta[0, 0] = 5.0
 
 
+def _kron_representation(n: int) -> list[np.ndarray]:
+    """alpha_1..alpha_n, beta by the np.kron recursion, written apart from
+    the builder: sigma_x (x) each matrix of level n-2, then sigma_y (x) I
+    and sigma_z (x) I."""
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
+    if n <= 2:
+        return [sigma_x, sigma_y][:n] + [sigma_z]
+    inner = _kron_representation(n - 2)
+    eye = np.eye(len(inner[0]), dtype=complex)
+    return ([np.kron(sigma_x, m) for m in inner]
+            + [np.kron(sigma_y, eye), np.kron(sigma_z, eye)])
+
+
+class TestBuilderOracle:
+    """The builder against an np.kron recursion of its own, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bitwise_the_kron_recursion(self, n):
+        built = [m for _, m in build_representation(n).matrices()]
+        expected = _kron_representation(n)
+        assert len(built) == len(expected) == n + 1
+        for m, e in zip(built, expected):
+            assert m.dtype == e.dtype and m.shape == e.shape
+            assert np.array_equal(m.view(np.uint64), e.view(np.uint64))
+
+    def test_emitted_n14_text_keeps_every_negative_zero(self):
+        """np.kron's products leave -0.0 parts, and --emit-json writes them."""
+        stream = io.StringIO()
+        write_representation_json(build_representation(14), stream)
+        assert stream.getvalue().count("-0.0") == 32256
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_matrices_are_views_of_one_read_only_block(self, n):
+        rep = build_representation(n)
+        block = rep.beta.base
+        assert block.shape == (n + 1, rep.dim, rep.dim) and block.flags.owndata
+        assert not block.flags.writeable
+        for i, (_, m) in enumerate(rep.matrices()):
+            assert m.base is block and m.flags.c_contiguous
+            assert m.ctypes.data == block.ctypes.data + i * block.strides[0]
+
+    def test_built_block_refuses_writes(self):
+        rep = build_representation(5)
+        with pytest.raises(ValueError):
+            rep.alphas[0].base[...] = 0
+        assert verify_clifford(rep).passed
+
+    def test_loaded_buffer_refuses_writes(self):
+        stream = io.StringIO()
+        write_representation_json(build_representation(5), stream)
+        stream.seek(0)
+        rep = read_representation_json(stream)
+        for _, m in rep.matrices():
+            with pytest.raises(ValueError):
+                m.base[...] = 0
+        assert verify_clifford(rep).passed
+
+    def test_block_is_allocated_before_any_level(self, monkeypatch):
+        """So a size past memory fails before a level is built.  Checked at
+        a small n, where a builder that allocates levels first stays cheap."""
+        shapes = []
+
+        def empty(shape, dtype=float):
+            shapes.append(shape)
+            raise MemoryError
+
+        monkeypatch.setattr(algebra.np, "empty", empty)
+        with pytest.raises(MemoryError):
+            build_representation(12)
+        assert shapes == [(13, 64, 64)]
+
+
 class TestVerifyClifford:
     def test_constructed_reps_are_exact(self):
         for n in range(1, 9):

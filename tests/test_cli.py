@@ -6,8 +6,11 @@ import errno
 import json
 import os
 import re
+import resource
 import signal
 import stat
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -22,6 +25,10 @@ from diracstep.scattering import CSV_HEADER, ScatteringQuery, amplitudes
 
 # nested far past the JSON parser's recursion limit
 DEEP_JSON = "[" * 100000 + "]" * 100000
+
+# the address space of a CLI run whose input is too large to hold: far above
+# what any test needs, and low enough that a regression cannot fill the host
+MEMORY_LIMIT = 4 * 2 ** 30
 
 
 def _regime_counts(csv_text: str) -> dict[str, int]:
@@ -867,6 +874,45 @@ class TestAlgebra:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--n" in captured.err and "--verify-json" in captured.err
+
+
+def _run_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """python -m diracstep.cli argv in a child limited to MEMORY_LIMIT bytes,
+    with one BLAS thread, whose buffers would otherwise take address space
+    in proportion to the machine's cores."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+    src = str(Path(algebra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "diracstep.cli", *argv], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+
+
+class TestInputPastMemory:
+    """A size the process cannot allocate is an invalid parameter: one
+    error line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "--n", "40"],
+        ["algebra", "--n", "26"],
+        ["algebra", "--n", "2001"],
+        ["evolve", "--grid-n", str(2 ** 40)],
+        ["scatter", "--E", "1.5", "--sweep", "V0:0:4:100000000000"],
+    ], ids=["algebra40", "algebra26", "algebra2001", "evolve", "scatter"])
+    def test_exits_2_with_one_error_line(self, argv):
+        run = _run_limited(argv)
+        assert run.returncode == 2, run.stderr
+        assert run.stdout == ""
+        assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+
+    def test_memory_error_without_a_message(self, monkeypatch, capsys):
+        def build(n):
+            raise MemoryError
+
+        monkeypatch.setattr(algebra, "build_representation", build)
+        assert main(["algebra", "--n", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 class TestConfigFile:
