@@ -125,11 +125,16 @@ def build_representation(n: int) -> DiracRepresentation:
     forms, signed zeros included.  The last level is the (n+1, dim, dim)
     block allocated before any level is built, so a size past memory
     raises MemoryError at once; the block is made read-only and the
-    alphas and beta are its C-contiguous views.
+    alphas and beta are its C-contiguous views.  An n whose block has more
+    bytes than a numpy array can index (n >= 53 on a 64-bit platform) is
+    refused with ValueError.
     """
     if n < 1:
         raise ValueError("spatial dimension n must be >= 1")
     dim = minimal_spinor_dimension(n)
+    if (n + 1) * dim * dim * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"spatial dimension n = {n} needs {n + 1} matrices of dimension "
+                         f"2^{(n + 1) // 2}, more bytes than one array can hold")
     block = np.empty((n + 1, dim, dim), dtype=complex)
     m = 2 - n % 2
     level = block if m == n else np.empty((m + 1, 2, 2), dtype=complex)

@@ -86,6 +86,8 @@ class Coupling(str, Enum):
         return _COUPLING_MATRICES[self]
 
 
+# keyed by member and value string, so neither depends on how Enum hashes a member
+_COUPLING_OF = {key: member for member in Coupling for key in (member, member.value)}
 _IDENTITY2 = np.eye(2, dtype=complex)
 _IDENTITY2.setflags(write=False)
 _COUPLING_MATRICES = {
@@ -107,11 +109,24 @@ class Regime(str, Enum):
     KLEIN_ZONE = "klein_zone"
 
 
+# indexed by (Re b <= 0) + (Re b < 0) in amplitudes(), and by SweepTable.regime
+_REGIMES = (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE)
+
+
 class SingularConfigurationError(ValueError):
     """Raised at isolated degenerate parameter points (0/0 kinematics)."""
 
 
-@dataclass(frozen=True)
+def _as_coupling(value) -> Coupling:
+    """The member named by a member or its value string, with one dict lookup;
+    anything else goes to Coupling(value), which refuses it with Enum's text."""
+    try:
+        return _COUPLING_OF[value]
+    except (KeyError, TypeError):
+        return Coupling(value)
+
+
+@dataclass(frozen=True, slots=True)
 class ScatteringQuery:
     """One plane-wave scattering problem.
 
@@ -125,7 +140,7 @@ class ScatteringQuery:
     coupling: Coupling = Coupling.VECTOR
 
     def __post_init__(self):
-        object.__setattr__(self, "coupling", Coupling(self.coupling))
+        object.__setattr__(self, "coupling", _as_coupling(self.coupling))
         if not (math.isfinite(self.E) and math.isfinite(self.V0) and math.isfinite(self.m0)):
             raise ValueError(
                 f"E, V0 and m0 must be finite, got E={self.E}, V0={self.V0}, m0={self.m0}"
@@ -138,7 +153,7 @@ class ScatteringQuery:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatteringResult:
     """Kinematic factors, amplitudes, coefficients and regime for one query."""
 
@@ -241,25 +256,24 @@ def amplitudes(q: ScatteringQuery) -> ScatteringResult:
     # the query holds finite E > m0 > 0, so the radicand is not negative
     a = math.sqrt(E * E - m0 * m0) / (E + m0)
     b = _step_factor(omega, mass, nu)
-    if a + b == 0:
+    re_b, im_b = b.real, b.imag
+    if a + re_b == 0 and im_b == 0:
         raise SingularConfigurationError(
             f"a + b = 0 at E={E}, V0={V0}, m0={m0}: amplitudes diverge"
         )
     if not a > 0:
         raise ValueError(f"incident factor must be positive, got a={a}")
-    re_R, im_R, re_T, im_T, r, t = _flux(a, b.real, b.imag)
+    re_R, im_R, re_T, im_T, r, t = _flux(a, re_b, im_b)
     if not (math.isfinite(r) and math.isfinite(t)):
         raise ValueError(
             f"closed form overflows at E={E}, V0={V0}, m0={m0}: "
             f"r={r} and t={t} are not finite"
         )
-    regime = (Regime.TRANSMISSION if b.real > 0.0
-              else Regime.KLEIN_ZONE if b.real < 0.0 else Regime.EVANESCENT)
-    return ScatteringResult(a=a, b=b, R=complex(re_R, im_R), T=complex(re_T, im_T), r=r, t=t,
-                            regime=regime)
+    return ScatteringResult(a, b, complex(re_R, im_R), complex(re_T, im_T), r, t,
+                            _REGIMES[(re_b <= 0.0) + (re_b < 0.0)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point of a parameter sweep.
 
@@ -276,7 +290,6 @@ class SweepRow:
     error: str | None = None
 
 
-_REGIMES = (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE)
 VALUE_COLUMNS = ("a", "re_b", "im_b", "re_R", "im_R", "re_T", "im_T", "r", "t")
 # Rows a SweepTable iterator converts to Python objects at once, which
 # bounds the memory of one pass over a long sweep.
@@ -350,11 +363,9 @@ class SweepTable(Sequence[SweepRow]):
                   r, t) -> SweepRow:
         if error:
             return SweepRow(E, V0, m0, self.coupling, error=self._error_message(E, V0, m0))
-        result = ScatteringResult(
-            a=a, b=complex(re_b, im_b), R=complex(re_R, im_R), T=complex(re_T, im_T),
-            r=r, t=t, regime=_REGIMES[regime],
-        )
-        return SweepRow(E, V0, m0, self.coupling, result=result)
+        result = ScatteringResult(a, complex(re_b, im_b), complex(re_R, im_R),
+                                  complex(re_T, im_T), r, t, _REGIMES[regime])
+        return SweepRow(E, V0, m0, self.coupling, result)
 
     def _error_message(self, E: float, V0: float, m0: float) -> str:
         # The scalar path's own refusal, so the message is exactly its text.

@@ -906,6 +906,23 @@ class TestInputPastMemory:
         assert run.stdout == ""
         assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [53, 54, 126, 2001])
+    def test_algebra_past_array_size_names_n(self, n):
+        """Past the bytes one numpy array can index the refusal is the
+        builder's own, naming n and the dimension 2^ceil(n/2), not numpy's."""
+        run = _run_limited(["algebra", "--n", str(n)])
+        assert run.returncode == 2, run.stderr
+        assert run.stdout == ""
+        assert run.stderr == (f"error: spatial dimension n = {n} needs {n + 1} matrices of "
+                              f"dimension 2^{(n + 1) // 2}, more bytes than one array can hold\n")
+
+    @pytest.mark.parametrize("n", [50, 52])
+    def test_algebra_below_array_size_runs_out_of_memory(self, n):
+        """Below that bound a set too large to hold keeps the MemoryError path."""
+        run = _run_limited(["algebra", "--n", str(n)])
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: Unable to allocate")
+
     def test_memory_error_without_a_message(self, monkeypatch, capsys):
         def build(n):
             raise MemoryError

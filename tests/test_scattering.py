@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import threading
 import warnings
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +25,9 @@ from diracstep.scattering import (
     Coupling,
     Regime,
     ScatteringQuery,
+    ScatteringResult,
     SingularConfigurationError,
+    SweepRow,
     SweepTable,
     _FORK_ROWS,
     _step_factor,
@@ -191,6 +195,92 @@ class TestQueryValidation:
         params = {"E": 1.5, "V0": 0.5, "m0": 1.0, field: value}
         with pytest.raises(ValueError, match="must be finite"):
             ScatteringQuery(**params)
+
+
+KLEIN_RESULT_REPR = (
+    "ScatteringResult(a=0.447213595499958, b=(-2.23606797749979+0j), "
+    "R=(-1.4999999999999998+0j), T=(-0.5+0j), r=2.2499999999999996, t=-1.25, "
+    "regime=<Regime.KLEIN_ZONE: 'klein_zone'>)"
+)
+
+
+def _records():
+    """One of each record: a query, its result, a valid and an error sweep row."""
+    query = ScatteringQuery(1.5, 3.0)
+    rows = sweep(query, "E", 0.5, 1.5, 3)
+    return [query, amplitudes(query), rows[2], rows[0]]
+
+
+class TestRecords:
+    """ScatteringQuery, ScatteringResult and SweepRow are frozen, slotted
+    dataclasses that compare, hash, pickle and print as frozen dataclasses."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_every_field_is_frozen(self, index):
+        record = _records()[index]
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, field.name)
+        # a name that is no field is refused too; CPython 3.11's frozen
+        # __setattr__ of a slotted dataclass raises TypeError for it
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1.0
+        assert not hasattr(record, "extra")
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_slotted_without_instance_dict(self, index):
+        record = _records()[index]
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == tuple(field.name for field in fields(record))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_equality_and_hash_are_those_of_the_fields(self, index):
+        record, again = _records()[index], _records()[index]
+        assert record is not again and record == again
+        assert hash(record) == hash(again) == hash(_field_tuple(record))
+        assert record != _field_tuple(record)
+        assert amplitudes(ScatteringQuery(2.0, 0.5)) != amplitudes(ScatteringQuery(2.0, 0.6))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for record in _records():
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert type(back) is type(record) and back == record
+            assert repr(back) == repr(record)
+        result = _records()[1]
+        assert _hex_fields(pickle.loads(pickle.dumps(result, protocol))) == _hex_fields(result)
+
+    def test_repr(self):
+        query, result, row, error_row = _records()
+        assert repr(result) == KLEIN_RESULT_REPR
+        assert repr(query) == (
+            "ScatteringQuery(E=1.5, V0=3.0, m0=1.0, coupling=<Coupling.VECTOR: 'vector'>)")
+        assert repr(row) == ("SweepRow(E=1.5, V0=3.0, m0=1.0, coupling=<Coupling.VECTOR: "
+                             f"'vector'>, result={KLEIN_RESULT_REPR}, error=None)")
+        assert repr(error_row) == (
+            "SweepRow(E=0.5, V0=3.0, m0=1.0, coupling=<Coupling.VECTOR: 'vector'>, "
+            "result=None, error='incident wave below threshold: need E > m0, "
+            "got E=0.5, m0=1.0')")
+
+    @pytest.mark.parametrize("coupling", list(Coupling))
+    def test_member_and_value_string_give_the_member(self, coupling):
+        assert ScatteringQuery(2.0, 0.5, coupling=coupling).coupling is coupling
+        assert ScatteringQuery(2.0, 0.5, coupling=coupling.value).coupling is coupling
+
+    @pytest.mark.parametrize("value", ["xml", "VECTOR", None, 3, [1]])
+    def test_other_couplings_refused_with_enum_text(self, value):
+        with pytest.raises(ValueError) as refused:
+            ScatteringQuery(2.0, 0.5, coupling=value)
+        assert str(refused.value) == f"{value!r} is not a valid Coupling"
+        with pytest.raises(ValueError) as enum_refused:
+            Coupling(value)
+        assert str(enum_refused.value) == str(refused.value)
+
+
+def _field_tuple(record) -> tuple:
+    return tuple(getattr(record, field.name) for field in fields(record))
 
 
 class TestAmplitudes:
